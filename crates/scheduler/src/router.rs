@@ -38,7 +38,7 @@ use crate::metrics::ShardedMetrics;
 use crate::policy::Policy;
 use crate::request::{OpKind, ServeRequest};
 use crate::serve::{Completion, ServeConfig, ServeReport, Server};
-use crate::shard::{QueueEntry, ShardState, STEAL_NODE_BASE};
+use crate::shard::{self, QueueEntry, ShardState, STEAL_NODE_BASE};
 
 /// How the router picks an arrival's primary shard.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -305,7 +305,7 @@ impl Router {
     }
 
     /// Serve `requests` (sorted by arrival) to completion across all
-    /// shards.
+    /// shards. Unsorted input is rejected as [`ScanError::InvalidInput`].
     ///
     /// Shards advance in simulated-clock lockstep. Within a tick each
     /// shard's dispatch touches only its own state and engine (pools,
@@ -317,10 +317,7 @@ impl Router {
     /// [`RouterConfig::serial_stepping`] by construction, whatever the
     /// thread count.
     pub fn run(&self, requests: &[ServeRequest]) -> ScanResult<ShardedReport> {
-        assert!(
-            requests.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-            "requests must be sorted by arrival"
-        );
+        shard::check_sorted(requests)?;
         let states: Vec<Mutex<ShardState>> = (0..self.config.shards)
             .map(|s| {
                 Mutex::new(ShardState::new(
@@ -768,6 +765,18 @@ mod tests {
         assert_eq!(report.metrics.requests, 24);
         assert_eq!(report.metrics.shards, 3);
         assert!(report.makespan > 0.0);
+    }
+
+    #[test]
+    fn unsorted_requests_are_rejected_not_panicked() {
+        let mut requests = small_workload(11, 8);
+        requests.swap(2, 6);
+        let mut config = RouterConfig::new(2, Policy::Fifo, 11);
+        for serial in [false, true] {
+            config.serial_stepping = serial;
+            let router = Router::new(config.clone()).unwrap();
+            assert!(matches!(router.run(&requests), Err(ScanError::InvalidInput(_))));
+        }
     }
 
     #[test]

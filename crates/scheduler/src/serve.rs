@@ -53,9 +53,7 @@ use crate::policy::Policy;
 use crate::pool::{DevicePool, PoolDevice, PoolLease};
 use crate::request::{OpKind, ServeRequest};
 use crate::shard::{self, Launch, ShardState};
-use crate::workload::{
-    request_input_f64_into, request_input_gated_into, request_input_into, request_input_seg_into,
-};
+use crate::workload::{request_stream, InputElem};
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -218,47 +216,40 @@ impl ServedOutput {
     }
 }
 
-/// An element type the serving engine hosts: how to fetch a tenant's
-/// deterministic input stream, hash an output value into the response
-/// checksum, and box a kept output.
-trait ServedElem: Scannable {
-    /// Fetch the tenant's deterministic input stream, appending into a
-    /// pooled buffer — no allocation once the buffer has grown.
-    fn fetch_into(seed: u64, id: usize, len: usize, out: &mut Vec<Self>);
-    /// Hand the hot path this thread's pooled `(input, compacted)` buffer
-    /// pair, cleared. Thread-local per concrete element type, so a steady
-    /// request's input generation never allocates once the buffers reach
-    /// the window's largest batch.
-    fn with_buffers<R>(f: impl FnOnce(&mut Vec<Self>, &mut Vec<Self>) -> R) -> R;
+/// An element type the serving engine hosts: its tenants' deterministic
+/// input stream ([`InputElem`]), how to hash an output value into the
+/// response checksum, and how to box a kept output.
+trait ServedElem: Scannable + InputElem {
+    /// Hand the cold path this thread's pooled input buffer, cleared.
+    /// Thread-local per concrete element type, so a cold launch's input
+    /// generation never allocates once the buffer reaches the window's
+    /// largest batch.
+    fn with_buffer<R>(f: impl FnOnce(&mut Vec<Self>) -> R) -> R;
     fn push(hash: u64, v: Self) -> u64;
     fn wrap(out: Vec<Self>) -> ServedOutput;
 }
 
-/// One pooled `(input, compacted)` buffer pair, cleared before each use.
-/// Declared per concrete [`ServedElem`] impl (thread-locals cannot be
-/// generic), so each element type recycles its own pool.
-macro_rules! served_buffers {
+/// One pooled input buffer, cleared before each use. Declared per
+/// concrete [`ServedElem`] impl (thread-locals cannot be generic), so each
+/// element type recycles its own pool.
+macro_rules! served_buffer {
     ($ty:ty) => {
-        fn with_buffers<R>(f: impl FnOnce(&mut Vec<$ty>, &mut Vec<$ty>) -> R) -> R {
+        fn with_buffer<R>(f: impl FnOnce(&mut Vec<$ty>) -> R) -> R {
             thread_local! {
-                static BUFS: std::cell::RefCell<(Vec<$ty>, Vec<$ty>)> =
-                    const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+                static BUF: std::cell::RefCell<Vec<$ty>> =
+                    const { std::cell::RefCell::new(Vec::new()) };
             }
-            BUFS.with(|bufs| {
-                let (input, compacted) = &mut *bufs.borrow_mut();
+            BUF.with(|buf| {
+                let input = &mut *buf.borrow_mut();
                 input.clear();
-                compacted.clear();
-                f(input, compacted)
+                f(input)
             })
         }
     };
 }
 
 impl ServedElem for i32 {
-    fn fetch_into(seed: u64, id: usize, len: usize, out: &mut Vec<i32>) {
-        request_input_into(seed, id, len, out)
-    }
-    served_buffers!(i32);
+    served_buffer!(i32);
     fn push(hash: u64, v: i32) -> u64 {
         fnv1a_push(hash, v)
     }
@@ -268,10 +259,7 @@ impl ServedElem for i32 {
 }
 
 impl ServedElem for f64 {
-    fn fetch_into(seed: u64, id: usize, len: usize, out: &mut Vec<f64>) {
-        request_input_f64_into(seed, id, len, out)
-    }
-    served_buffers!(f64);
+    served_buffer!(f64);
     fn push(hash: u64, v: f64) -> u64 {
         fnv1a_bytes(hash, &v.to_bits().to_le_bytes())
     }
@@ -281,10 +269,7 @@ impl ServedElem for f64 {
 }
 
 impl ServedElem for SegPair<i32> {
-    fn fetch_into(seed: u64, id: usize, len: usize, out: &mut Vec<SegPair<i32>>) {
-        request_input_seg_into(seed, id, len, out)
-    }
-    served_buffers!(SegPair<i32>);
+    served_buffer!(SegPair<i32>);
     fn push(hash: u64, v: SegPair<i32>) -> u64 {
         fnv1a_bytes(fnv1a_push(hash, v.v), &[v.reset as u8])
     }
@@ -294,10 +279,7 @@ impl ServedElem for SegPair<i32> {
 }
 
 impl ServedElem for AffinePair<f64> {
-    fn fetch_into(seed: u64, id: usize, len: usize, out: &mut Vec<AffinePair<f64>>) {
-        request_input_gated_into(seed, id, len, out)
-    }
-    served_buffers!(AffinePair<f64>);
+    served_buffer!(AffinePair<f64>);
     fn push(hash: u64, v: AffinePair<f64>) -> u64 {
         let hash = fnv1a_bytes(hash, &v.a.to_bits().to_le_bytes());
         fnv1a_bytes(hash, &v.b.to_bits().to_le_bytes())
@@ -364,6 +346,21 @@ struct ResponseMemo {
     /// two kinds has two distinct checksums.
     sums: HashMap<(usize, u32, u32, OpKind), u64, interconnect::FxBuildHasher>,
     served: u64,
+}
+
+impl ResponseMemo {
+    /// `r`'s stored checksum, counted as served; `None` when `r` has not
+    /// been answered before, or when outputs are kept (the memo holds
+    /// checksums, not outputs).
+    fn lookup(&mut self, r: &ServeRequest, keep: bool) -> Option<u64> {
+        let sum = (!keep).then(|| self.sums.get(&(r.id, r.n, r.g, r.op)).copied()).flatten()?;
+        self.served += 1;
+        Some(sum)
+    }
+
+    fn insert(&mut self, r: &ServeRequest, sum: u64) {
+        self.sums.insert((r.id, r.n, r.g, r.op), sum);
+    }
 }
 
 /// One device generation the server can plan on: its pool fingerprint and
@@ -460,12 +457,10 @@ impl Server {
         ResponseStats { served: memo.served, entries: memo.sums.len() }
     }
 
-    /// Serve `requests` (sorted by arrival) to completion.
+    /// Serve `requests` (sorted by arrival) to completion. Unsorted input
+    /// is rejected as [`scan_core::ScanError::InvalidInput`].
     pub fn run(&self, requests: &[ServeRequest]) -> ScanResult<ServeReport> {
-        assert!(
-            requests.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-            "requests must be sorted by arrival"
-        );
+        shard::check_sorted(requests)?;
         // One shard's worth of state is the whole server here; the sharded
         // router drives N of these with the same dispatch/sample/retire
         // methods, which is what makes its 1-shard path byte-equal.
@@ -682,8 +677,8 @@ impl Server {
         // so a hit can only come from this operator's own entries. A hit
         // needs no data path of its own: its shared graph is admitted
         // directly (zero-copy — the fleet maps resources through the hit's
-        // remap table), and member responses come from the memo or from
-        // one batched sweep over the concatenated miss blocks.
+        // remap table), and member responses come from the memo or are
+        // computed straight off each member's input stream.
         let mut cold_plan = None;
         let hit = if self.config.plan_cache {
             match self
@@ -717,59 +712,34 @@ impl Server {
         let (admission, gpus_used, outputs) = match hit {
             Some(hit) => {
                 let mut memo = self.responses.lock().expect("response memo poisoned");
-                // Steady-state fast path: every member already in the memo
-                // — one pass, no scratch buffers. `served` is committed
-                // only when the whole launch is warm, so bailing to the
-                // general path never double-counts.
-                let mut outputs: Vec<(u64, Option<ServedOutput>)> =
-                    Vec::with_capacity(members.len());
-                if !keep {
-                    for &m in members {
-                        let r = &requests[m];
-                        match memo.sums.get(&(r.id, r.n, r.g, r.op)) {
-                            Some(&sum) => outputs.push((sum, None)),
-                            None => break,
+                // One pass over the members, no scratch buffer: a memo hit
+                // is served as stored; a miss — or any member when outputs
+                // are kept, since the memo holds only checksums — never
+                // materializes its input, but draws its elements, scans
+                // and hashes them in one loop.
+                let outputs: Vec<_> = members
+                    .iter()
+                    .map(|&m| {
+                        let m = &requests[m];
+                        if let Some(sum) = memo.lookup(m, keep) {
+                            return (sum, None);
                         }
-                    }
-                }
-                if outputs.len() == members.len() {
-                    memo.served += members.len() as u64;
-                } else {
-                    outputs.clear();
-                    let warm = self.warm_sums(&mut memo, requests, members, keep);
-                    // Memo misses concatenate into one pooled buffer and
-                    // hash in a single batched sweep, like the blocks of
-                    // one simulated launch rather than member by member.
-                    let mut spans: Vec<(usize, usize)> = Vec::new();
-                    let hashed = T::with_buffers(|input, _| {
-                        for (&m, w) in members.iter().zip(&warm) {
-                            if w.is_none() {
-                                let m = &requests[m];
-                                T::fetch_into(self.config.input_seed, m.id, m.total_elems(), input);
-                                spans.push((m.problem().problem_size(), m.total_elems()));
-                            }
-                        }
-                        scanned_checksums_batch(op, input, &spans, keep)
-                    });
-                    let mut hashed = hashed.into_iter();
-                    outputs.extend(members.iter().zip(warm).map(|(&m, w)| match w {
-                        Some(sum) => (sum, None),
-                        None => {
-                            let (sum, out) = hashed.next().expect("every miss member is hashed");
-                            let m = &requests[m];
-                            memo.sums.insert((m.id, m.n, m.g, m.op), sum);
-                            (sum, out.map(T::wrap))
-                        }
-                    }));
-                }
+                        let input = request_stream(self.config.input_seed, m.id);
+                        let (sum, out) = scanned_checksum(op, m, input, keep);
+                        memo.insert(m, sum);
+                        (sum, out.map(T::wrap))
+                    })
+                    .collect();
                 drop(memo);
                 let admission = fleet.admit_shared(hit.graph, hit.remap, now, prefix);
                 (admission, hit.gpus_used, outputs)
             }
-            None => T::with_buffers(|input, compacted| -> ScanResult<_> {
+            None => T::with_buffer(|input| -> ScanResult<_> {
                 for &m in members {
                     let m = &requests[m];
-                    T::fetch_into(self.config.input_seed, m.id, m.total_elems(), input);
+                    input.extend(
+                        request_stream::<T>(self.config.input_seed, m.id).take(m.total_elems()),
+                    );
                 }
                 debug_assert_eq!(input.len(), problem.total_elems());
                 let leased = match cold_plan {
@@ -797,43 +767,27 @@ impl Server {
                 // Even on a plan miss (e.g. float kinds whose simulated
                 // bits aren't replayable, so their plans are never cached)
                 // the response itself memoizes: warm members are stepped
-                // over, the cold remainder hashes in one batched sweep.
+                // over, each cold one hashes its own slice of the input.
                 let mut memo = self
                     .config
                     .plan_cache
                     .then(|| self.responses.lock().expect("response memo poisoned"));
-                let warm = match memo.as_deref_mut() {
-                    Some(memo) => self.warm_sums(memo, requests, members, keep),
-                    None => vec![None; members.len()],
-                };
-                let mut spans: Vec<(usize, usize)> = Vec::new();
-                let all_cold = warm.iter().all(Option::is_none);
                 let mut offset = 0;
-                for (&m, w) in members.iter().zip(&warm) {
-                    let m = &requests[m];
-                    if w.is_none() {
-                        if !all_cold {
-                            compacted.extend_from_slice(&input[offset..offset + m.total_elems()]);
-                        }
-                        spans.push((m.problem().problem_size(), m.total_elems()));
-                    }
-                    offset += m.total_elems();
-                }
-                let batch_input: &[T] = if all_cold { &input[..] } else { &compacted[..] };
-                let mut hashed = scanned_checksums_batch(op, batch_input, &spans, keep).into_iter();
                 let outputs = members
                     .iter()
-                    .zip(warm)
-                    .map(|(&m, w)| match w {
-                        Some(sum) => (sum, None),
-                        None => {
-                            let (sum, out) = hashed.next().expect("every cold member is hashed");
-                            if let Some(memo) = memo.as_deref_mut() {
-                                let m = &requests[m];
-                                memo.sums.insert((m.id, m.n, m.g, m.op), sum);
-                            }
-                            (sum, out.map(T::wrap))
+                    .map(|&m| {
+                        let m = &requests[m];
+                        let block = &input[offset..offset + m.total_elems()];
+                        offset += m.total_elems();
+                        if let Some(sum) = memo.as_deref_mut().and_then(|memo| memo.lookup(m, keep))
+                        {
+                            return (sum, None);
                         }
+                        let (sum, out) = scanned_checksum(op, m, block.iter().copied(), keep);
+                        if let Some(memo) = memo.as_deref_mut() {
+                            memo.insert(m, sum);
+                        }
+                        (sum, out.map(T::wrap))
                     })
                     .collect();
                 let admission =
@@ -859,47 +813,26 @@ impl Server {
         }
         Ok(Launch { seq, lease, finish: admission.finish, completions })
     }
-
-    /// Resolve each member against the response memo: `Some(sum)` when its
-    /// checksum is already known (counted as served), `None` when its
-    /// block must be scanned. With `keep_outputs` on, every member is
-    /// cold — the memo holds checksums, not outputs.
-    fn warm_sums(
-        &self,
-        memo: &mut ResponseMemo,
-        requests: &[ServeRequest],
-        members: &[usize],
-        keep: bool,
-    ) -> Vec<Option<u64>> {
-        members
-            .iter()
-            .map(|&m| {
-                let m = &requests[m];
-                let key = (m.id, m.n, m.g, m.op);
-                let sum = (!keep).then(|| memo.sums.get(&key).copied()).flatten()?;
-                memo.served += 1;
-                Some(sum)
-            })
-            .collect()
-    }
 }
 
-/// Inclusive-scan `input` row by row (rows of `n` elements) in canonical
-/// sequential order and FNV-1a the scanned values as they are produced —
-/// the same bits as `fnv1a(&expected_output)` without materializing the
-/// output (unless `keep` asks for it).
+/// Inclusive-scan request `r`'s input, drawn from `input`, row by row
+/// (`2^g` rows of `2^n` elements) in canonical sequential order and FNV-1a
+/// the scanned values as they are produced — the same bits as
+/// `fnv1a(&expected_output)` without materializing the output (unless
+/// `keep` asks for it). Rows reset the accumulator, so a member's response
+/// is the same alone or inside a coalesced launch.
 fn scanned_checksum<T: ServedElem, O: ScanOp<T>>(
     op: O,
-    input: &[T],
-    n: usize,
+    r: &ServeRequest,
+    mut input: impl Iterator<Item = T>,
     keep: bool,
 ) -> (u64, Option<Vec<T>>) {
-    debug_assert_eq!(input.len() % n, 0);
+    let problem = r.problem();
     let mut hash = FNV_OFFSET;
-    let mut out = keep.then(|| Vec::with_capacity(input.len()));
-    for row in input.chunks_exact(n) {
+    let mut out = keep.then(|| Vec::with_capacity(problem.total_elems()));
+    for _ in 0..problem.batch() {
         let mut acc = op.identity();
-        for &v in row {
+        for v in input.by_ref().take(problem.problem_size()) {
             acc = op.combine(acc, v);
             hash = T::push(hash, acc);
             if let Some(out) = out.as_mut() {
@@ -908,26 +841,6 @@ fn scanned_checksum<T: ServedElem, O: ScanOp<T>>(
         }
     }
     (hash, out)
-}
-
-/// [`scanned_checksum`] over a coalesced launch's concatenated blocks in
-/// one sweep: member `i` owns `spans[i].1` elements in rows of
-/// `spans[i].0`. Bit-identical to hashing each member's slice separately
-/// — rows reset the accumulator, so block boundaries carry no state.
-fn scanned_checksums_batch<T: ServedElem, O: ScanOp<T>>(
-    op: O,
-    input: &[T],
-    spans: &[(usize, usize)],
-    keep: bool,
-) -> Vec<(u64, Option<Vec<T>>)> {
-    debug_assert_eq!(input.len(), spans.iter().map(|&(_, elems)| elems).sum::<usize>());
-    let mut out = Vec::with_capacity(spans.len());
-    let mut offset = 0;
-    for &(n, elems) in spans {
-        out.push(scanned_checksum(op, &input[offset..offset + elems], n, keep));
-        offset += elems;
-    }
-    out
 }
 
 /// Append `v` in decimal — `write!("{v}")` without the formatting
@@ -975,6 +888,7 @@ mod tests {
     use crate::workload::{
         request_input, request_input_f64, request_input_gated, request_input_seg, WorkloadSpec,
     };
+    use scan_core::ScanError;
     use skeletons::reference_inclusive;
 
     fn small_workload(seed: u64, count: usize) -> Vec<ServeRequest> {
@@ -1108,6 +1022,151 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Request `r`'s response computed from scratch: its materialized
+    /// input, reference-scanned row by row, then FNV-1a hashed.
+    fn reference_response(seed: u64, r: &ServeRequest) -> (u64, ServedOutput) {
+        fn rows<T: ServedElem, O: ScanOp<T>>(op: O, input: &[T], n: usize) -> Vec<T> {
+            input.chunks_exact(n).flat_map(|row| reference_inclusive(op, row)).collect()
+        }
+        let (id, len, n) = (r.id, r.total_elems(), r.problem().problem_size());
+        match r.op {
+            OpKind::AddI32 => {
+                let out = rows(Add, &request_input(seed, id, len), n);
+                (fnv1a(&out), ServedOutput::I32(out))
+            }
+            OpKind::MaxF64 => {
+                let out = rows(Max, &request_input_f64(seed, id, len), n);
+                (fnv1a(&out), ServedOutput::F64(out))
+            }
+            OpKind::SegSumI32 => {
+                let out = rows(SegmentedAdd, &request_input_seg(seed, id, len), n);
+                (fnv1a(&out), ServedOutput::SegI32(out))
+            }
+            OpKind::GatedF64 => {
+                let out = rows(GatedOp, &request_input_gated(seed, id, len), n);
+                (fnv1a(&out), ServedOutput::GatedF64(out))
+            }
+        }
+    }
+
+    #[test]
+    fn plan_hit_responses_equal_the_materialized_reference() {
+        // Every (n, g) in 10..=12 x 0..=3, each arriving as a coalescible
+        // group: two equal-g members, then a g=1 head absorbing two g=0
+        // members (so one launch's members differ in g). The first window
+        // warms the plan cache; the second repeats its shapes under fresh
+        // ids, so every launch hits the plan cache and misses the memo —
+        // each member's response comes off the fused draw-scan-hash path.
+        let window = |op: OpKind, first_id: usize| {
+            let mut requests = Vec::new();
+            let mut push = |t: usize, n: u32, g: u32| {
+                requests.push(ServeRequest {
+                    id: first_id + requests.len(),
+                    arrival: t as f64 * 1e-3,
+                    n,
+                    g,
+                    gpus_wanted: 1,
+                    priority: 0,
+                    tenant: 0,
+                    deadline: None,
+                    op,
+                })
+            };
+            let mut t = 0;
+            for n in 10..=12 {
+                for g in 0..=3 {
+                    push(t, n, g);
+                    push(t, n, g);
+                    t += 1;
+                }
+                push(t, n, 1);
+                push(t, n, 0);
+                push(t, n, 0);
+                t += 1;
+            }
+            requests
+        };
+        for op in OpKind::all() {
+            for keep in [false, true] {
+                let mut config = ServeConfig::new(Policy::Fifo, 5);
+                config.keep_outputs = keep;
+                let server = Server::new(config);
+                server.run(&window(op, 0)).unwrap();
+                let warm = server.cache_stats();
+                let report = server.run(&window(op, 1000)).unwrap();
+                let stats = server.cache_stats();
+                if op == OpKind::GatedF64 {
+                    // Gated plans never replay (their simulated float bits
+                    // differ from the reference order), so they run cold.
+                    assert_eq!(stats.hits, 0, "{op}");
+                } else {
+                    assert_eq!(stats.misses, warm.misses, "{op}: the second window only hits");
+                    assert_eq!(stats.hits - warm.hits, report.launches as u64, "{op}");
+                }
+                assert_eq!(server.response_stats().served, 0, "{op}: fresh ids miss the memo");
+                assert_eq!(report.completions.len(), 33);
+                assert!(report.completions.iter().any(|c| c.coalesced == 3), "{op}");
+                for c in &report.completions {
+                    let (sum, out) = reference_response(5, &c.request);
+                    assert_eq!(c.checksum, sum, "{op} request {} keep={keep}", c.request.id);
+                    assert_eq!(
+                        c.output.as_ref(),
+                        keep.then_some(&out),
+                        "{op} request {}",
+                        c.request.id
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plan_cache_on_and_off_serve_identical_completions() {
+        let requests = WorkloadSpec::mixed_ops_for(7, 160).generate();
+        let by_id = |config: ServeConfig| {
+            let report = Server::new(config).run(&requests).unwrap();
+            let mut completions = report.completions;
+            completions.sort_by_key(|c| c.request.id);
+            (completions, report.cache_stats)
+        };
+        let mut config = ServeConfig::new(Policy::Edf, 3);
+        config.keep_outputs = true;
+        let (cached, stats) = by_id(config.clone());
+        config.plan_cache = false;
+        let (cold, _) = by_id(config);
+        assert!(stats.hits > 0, "the cache-on window must take the hit path");
+        // Coalesced launches whose members differ in g are covered.
+        let mixed_g = cached.iter().any(|c| {
+            c.coalesced > 1
+                && cached.iter().any(|o| {
+                    o.dispatched.to_bits() == c.dispatched.to_bits()
+                        && o.gpus == c.gpus
+                        && o.request.g != c.request.g
+                })
+        });
+        assert!(mixed_g, "window must coalesce members of different g");
+        assert_eq!(cached.len(), cold.len());
+        for (a, b) in cached.iter().zip(&cold) {
+            assert_eq!(a.request, b.request);
+            assert_eq!(a.checksum, b.checksum, "request {}", a.request.id);
+            assert_eq!(a.output, b.output, "request {}", a.request.id);
+            assert_eq!(a.finished.to_bits(), b.finished.to_bits(), "request {}", a.request.id);
+            assert_eq!(a.coalesced, b.coalesced, "request {}", a.request.id);
+        }
+    }
+
+    #[test]
+    fn unsorted_requests_are_rejected_not_panicked() {
+        let server = Server::new(ServeConfig::new(Policy::Fifo, 3));
+        let mut requests = small_workload(3, 6);
+        requests.swap(1, 4);
+        assert!(matches!(server.run(&requests), Err(ScanError::InvalidInput(_))));
+        // A NaN arrival is unordered against its neighbours: rejected too.
+        let mut requests = small_workload(3, 6);
+        requests[1].arrival = f64::NAN;
+        assert!(matches!(server.run(&requests), Err(ScanError::InvalidInput(_))));
     }
 
     #[test]

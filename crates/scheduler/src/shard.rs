@@ -15,8 +15,11 @@
 //! the thief's timeline on the launch's own streams (resource exclusivity
 //! then delays the launch by the transfer time — see `docs/sharding.md`).
 
+use std::cmp::Ordering;
+
 use gpu_sim::EventKind;
 use interconnect::{ExecGraph, FabricSpec, FleetTimeline, NodeMeta, Resource};
+use scan_core::{ScanError, ScanResult};
 
 use crate::pool::{DevicePool, PoolLease};
 use crate::request::ServeRequest;
@@ -121,6 +124,22 @@ impl ShardState {
             self.pool.release(launch.lease);
             self.completions.extend(launch.completions);
         }
+    }
+}
+
+/// The serve loops' input contract: `requests` sorted by arrival. Both
+/// entry points check it up front and reject a violation as
+/// [`ScanError::InvalidInput`] rather than serving out of order.
+pub(crate) fn check_sorted(requests: &[ServeRequest]) -> ScanResult<()> {
+    // A NaN arrival compares as unordered, and is rejected with it.
+    let out_of_order =
+        |w: &&[ServeRequest]| w[0].arrival.partial_cmp(&w[1].arrival).is_none_or(Ordering::is_gt);
+    match requests.windows(2).find(out_of_order) {
+        None => Ok(()),
+        Some(w) => Err(ScanError::InvalidInput(format!(
+            "requests must be sorted by arrival: request {} at {} follows request {} at {}",
+            w[1].id, w[1].arrival, w[0].id, w[0].arrival
+        ))),
     }
 }
 

@@ -222,15 +222,61 @@ pub fn request_input(seed: u64, id: usize, len: usize) -> Vec<i32> {
 }
 
 /// [`request_input`], appending into a caller-owned buffer (the serving
-/// hot path recycles pooled buffers instead of allocating per request).
+/// cold path recycles a pooled buffer instead of allocating per launch).
 /// The RNG stream — and therefore every value — is identical.
 pub fn request_input_into(seed: u64, id: usize, len: usize, out: &mut Vec<i32>) {
-    let mut rng = request_rng(seed, id);
-    out.extend((0..len).map(|_| rng.gen_range(-100..=100)));
+    out.extend(request_stream::<i32>(seed, id).take(len));
 }
 
 fn request_rng(seed: u64, id: usize) -> StdRng {
     StdRng::seed_from_u64(seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// An element type tenants upload: one element is one draw from the
+/// request's own RNG stream. The `request_input*` functions document each
+/// kind's value distribution.
+pub(crate) trait InputElem: Sized {
+    /// The next element of a request's input stream.
+    fn draw(rng: &mut StdRng) -> Self;
+}
+
+impl InputElem for i32 {
+    #[inline]
+    fn draw(rng: &mut StdRng) -> i32 {
+        rng.gen_range(-100..=100)
+    }
+}
+
+impl InputElem for f64 {
+    #[inline]
+    fn draw(rng: &mut StdRng) -> f64 {
+        rng.gen_range(-400i32..=400) as f64 * 0.25
+    }
+}
+
+impl InputElem for SegPair<i32> {
+    #[inline]
+    fn draw(rng: &mut StdRng) -> SegPair<i32> {
+        let v = rng.gen_range(-100..=100);
+        SegPair::new(v, rng.gen_range(0..8u32) == 0)
+    }
+}
+
+impl InputElem for AffinePair<f64> {
+    #[inline]
+    fn draw(rng: &mut StdRng) -> AffinePair<f64> {
+        let gate = 0.999 + 0.001 * (rng.gen_range(0..=1000u32) as f64 / 1000.0);
+        let token = rng.gen_range(-128i32..=128) as f64 / 128.0;
+        AffinePair::new(gate, token)
+    }
+}
+
+/// Request `id`'s input stream, endless: every `request_input*` function
+/// is a prefix of it, and the serving hot path consumes it directly
+/// instead of materializing the input first.
+pub(crate) fn request_stream<T: InputElem>(seed: u64, id: usize) -> impl Iterator<Item = T> {
+    let mut rng = request_rng(seed, id);
+    std::iter::repeat_with(move || T::draw(&mut rng))
 }
 
 /// [`request_input`] for `f64` tenants ([`OpKind::MaxF64`]): quarter-integer
@@ -244,8 +290,7 @@ pub fn request_input_f64(seed: u64, id: usize, len: usize) -> Vec<f64> {
 
 /// [`request_input_f64`], appending into a caller-owned buffer.
 pub fn request_input_f64_into(seed: u64, id: usize, len: usize, out: &mut Vec<f64>) {
-    let mut rng = request_rng(seed, id);
-    out.extend((0..len).map(|_| rng.gen_range(-400i32..=400) as f64 * 0.25));
+    out.extend(request_stream::<f64>(seed, id).take(len));
 }
 
 /// [`request_input`] for segmented-sum tenants ([`OpKind::SegSumI32`]):
@@ -259,11 +304,7 @@ pub fn request_input_seg(seed: u64, id: usize, len: usize) -> Vec<SegPair<i32>> 
 
 /// [`request_input_seg`], appending into a caller-owned buffer.
 pub fn request_input_seg_into(seed: u64, id: usize, len: usize, out: &mut Vec<SegPair<i32>>) {
-    let mut rng = request_rng(seed, id);
-    out.extend((0..len).map(|_| {
-        let v = rng.gen_range(-100..=100);
-        SegPair::new(v, rng.gen_range(0..8u32) == 0)
-    }));
+    out.extend(request_stream::<SegPair<i32>>(seed, id).take(len));
 }
 
 /// [`request_input`] for gated-recurrence tenants ([`OpKind::GatedF64`]):
@@ -278,12 +319,7 @@ pub fn request_input_gated(seed: u64, id: usize, len: usize) -> Vec<AffinePair<f
 
 /// [`request_input_gated`], appending into a caller-owned buffer.
 pub fn request_input_gated_into(seed: u64, id: usize, len: usize, out: &mut Vec<AffinePair<f64>>) {
-    let mut rng = request_rng(seed, id);
-    out.extend((0..len).map(|_| {
-        let gate = 0.999 + 0.001 * (rng.gen_range(0..=1000u32) as f64 / 1000.0);
-        let token = rng.gen_range(-128i32..=128) as f64 / 128.0;
-        AffinePair::new(gate, token)
-    }));
+    out.extend(request_stream::<AffinePair<f64>>(seed, id).take(len));
 }
 
 /// Read a request trace from JSON.
@@ -300,7 +336,10 @@ pub fn request_input_gated_into(seed: u64, id: usize, len: usize, out: &mut Vec<
 /// ]}
 /// ```
 ///
-/// Ids are assigned by position. Entries must be sorted by arrival.
+/// Ids are assigned by position. Entries must be sorted by arrival, a
+/// deadline must not precede its arrival, and `n`, `g` (`u32`),
+/// `priority` and `tenant` (`u8`) must fit their types; anything else is
+/// an `Err`, never a truncated value.
 pub fn requests_from_json(text: &str) -> Result<Vec<ServeRequest>, String> {
     let doc = Json::parse(text)?;
     let entries = doc
@@ -329,7 +368,11 @@ pub fn requests_from_json(text: &str) -> Result<Vec<ServeRequest>, String> {
         let deadline = match entry.get("deadline") {
             None | Some(Json::Null) => None,
             Some(v) => {
-                Some(v.as_f64().ok_or(format!("request {id}: \"deadline\" must be a number"))?)
+                let d = v.as_f64().ok_or(format!("request {id}: \"deadline\" must be a number"))?;
+                if d < arrival {
+                    return Err(format!("request {id}: deadline {d} before arrival {arrival}"));
+                }
+                Some(d)
             }
         };
         let op = match entry.get("op") {
@@ -344,11 +387,11 @@ pub fn requests_from_json(text: &str) -> Result<Vec<ServeRequest>, String> {
         out.push(ServeRequest {
             id,
             arrival,
-            n: int("n")? as u32,
-            g: int("g")? as u32,
+            n: narrow(id, "n", int("n")?)?,
+            g: narrow(id, "g", int("g")?)?,
             gpus_wanted: opt_int("gpus")?.unwrap_or(1),
-            priority: opt_int("priority")?.unwrap_or(0) as u8,
-            tenant: opt_int("tenant")?.unwrap_or(0) as u8,
+            priority: narrow(id, "priority", opt_int("priority")?.unwrap_or(0))?,
+            tenant: narrow(id, "tenant", opt_int("tenant")?.unwrap_or(0))?,
             deadline,
             op,
         });
@@ -362,6 +405,13 @@ pub fn requests_from_json(text: &str) -> Result<Vec<ServeRequest>, String> {
         }
     }
     Ok(out)
+}
+
+/// Narrow request `id`'s integer field `key` to its request type:
+/// out-of-range values are rejected, never truncated (a wrapped tenant id
+/// would alias another tenant's SLO ledger).
+fn narrow<T: TryFrom<usize>>(id: usize, key: &str, v: usize) -> Result<T, String> {
+    T::try_from(v).map_err(|_| format!("request {id}: \"{key}\" {v} out of range"))
 }
 
 /// Render requests back to the JSON trace format (round-trips through
@@ -422,6 +472,50 @@ mod tests {
         assert_ne!(request_input(7, 3, 64), request_input(7, 4, 64));
         // A prefix of a longer draw equals the shorter draw (same stream).
         assert_eq!(request_input(7, 3, 128)[..64], request_input(7, 3, 64)[..]);
+    }
+
+    #[test]
+    fn input_streams_keep_their_bits() {
+        // The first 16 values of every kind's stream at seed 7, id 3, as
+        // the original `i128`-remainder sampler drew them.
+        assert_eq!(
+            request_input(7, 3, 16),
+            [-70, 11, -100, 64, -52, 8, -58, 28, 43, 1, 58, -44, 22, -37, 13, -60]
+        );
+        assert_eq!(
+            request_input_f64(7, 3, 16),
+            [
+                -63.25, -65.5, -49.0, 12.25, -7.75, -56.5, -68.5, -38.75, 7.75, -78.5, -12.5,
+                -44.75, 27.25, -82.0, -97.25, -79.5
+            ]
+        );
+        let seg: Vec<(i32, bool)> =
+            request_input_seg(7, 3, 16).iter().map(|p| (p.v, p.reset)).collect();
+        let values = [-70, -100, -52, -58, 43, 58, 22, 13, -3, -25, -79, -64, 28, -8, -97, -23];
+        assert_eq!(seg, values.map(|v| (v, false)));
+        let gated: Vec<(u64, u64)> =
+            request_input_gated(7, 3, 16).iter().map(|p| (p.a.to_bits(), p.b.to_bits())).collect();
+        assert_eq!(
+            gated,
+            [
+                (0x3feffce95faa8a83, 0x3fd9000000000000),
+                (0x3feff811f4f50a03, 0xbfef000000000000),
+                (0x3feffba6698bb4d5, 0xbfed800000000000),
+                (0x3feffbd8be7296f6, 0xbfd8000000000000),
+                (0x3feff85f8d2e514c, 0x3fa4000000000000),
+                (0x3feffde939eadd59, 0x3fe1400000000000),
+                (0x3feffa871a3b14a9, 0xbfd3800000000000),
+                (0x3feffeed45e9185d, 0xbfe2000000000000),
+                (0x3feffe9d94d0dcfd, 0xbfcd000000000000),
+                (0x3feffb3b7521144d, 0xbfec800000000000),
+                (0x3feff9096bb98c7e, 0x3fd9800000000000),
+                (0x3fefff9f87f023ea, 0xbfa4000000000000),
+                (0x3feffbaa9b499d02, 0x3fe6800000000000),
+                (0x3feff8db4890928a, 0xbff0000000000000),
+                (0x3feffede97d06bbe, 0x3fc8000000000000),
+                (0x3feffb17ce52deca, 0xbfb8000000000000),
+            ]
+        );
     }
 
     #[test]
@@ -490,5 +584,28 @@ mod tests {
             {"arrival": 0.5, "n": 11, "g": 1}
         ]}"#;
         assert!(requests_from_json(unsorted).unwrap_err().contains("not sorted"));
+    }
+
+    #[test]
+    fn json_rejects_out_of_range_fields_instead_of_truncating() {
+        let one = |fields: &str| {
+            requests_from_json(&format!(r#"{{"requests": [{{"arrival": 0.5, {fields}}}]}}"#))
+        };
+        // 2^32 + 10 must not wrap to n = 10.
+        let err = one(r#""n": 4294967306, "g": 0"#).unwrap_err();
+        assert!(err.contains("\"n\"") && err.contains("out of range"), "{err}");
+        assert!(one(r#""n": 10, "g": 4294967296"#).unwrap_err().contains("\"g\""));
+        // Tenant 256 must not alias tenant 0 in the SLO ledger.
+        let err = one(r#""n": 10, "g": 0, "tenant": 256"#).unwrap_err();
+        assert!(err.contains("\"tenant\"") && err.contains("out of range"), "{err}");
+        assert!(one(r#""n": 10, "g": 0, "priority": 300"#).unwrap_err().contains("priority"));
+        // A deadline before the arrival is rejected, negative or not.
+        let err = one(r#""n": 10, "g": 0, "deadline": -1"#).unwrap_err();
+        assert!(err.contains("deadline") && err.contains("before arrival"), "{err}");
+        assert!(one(r#""n": 10, "g": 0, "deadline": 0.25"#).is_err());
+        // The widest in-range values still load.
+        let ok =
+            one(r#""n": 10, "g": 0, "tenant": 255, "priority": 255, "deadline": 0.5"#).unwrap();
+        assert_eq!((ok[0].tenant, ok[0].priority, ok[0].deadline), (255, 255, Some(0.5)));
     }
 }
