@@ -4,7 +4,7 @@
 //! figures [--total-log2 N] [--n-lo N] [--no-verify] [--trace-dir DIR]
 //!         [--seed N] [--requests N] [--policy fifo|sjf|edf|all]
 //!         [--pool-gpus N] [--no-coalesce] [--shards N] [--threads N]
-//!         [--serial-stepping] [--out DIR] [--workload FILE] [--op-mix]
+//!         [--out DIR] [--workload FILE] [--op-mix]
 //!         [CMD...]
 //!
 //! CMD: table3 fig1 fig9 fig10 fig11 fig12 fig13 fig14 mw-sweep k-sweep
@@ -36,9 +36,9 @@
 //! placement, work stealing on) and appends a `"sharded"` section to the
 //! JSON — the unsharded section stays byte-identical, so point `--out`
 //! elsewhere to keep the committed golden. `--threads N` sizes the
-//! router's worker pool (0 = one per core) and `--serial-stepping`
-//! forces the retained serial engine; both produce byte-identical
-//! output, which CI pins by diffing the two. See `docs/sharding.md`.
+//! router's worker pool (0 = one per core; 1 = the serial engine); every
+//! thread count produces byte-identical output, which CI pins by diffing
+//! `--threads 1` against the default. See `docs/sharding.md`.
 //!
 //! `bench-scan` runs a pinned set of single-scan configurations
 //! (independent of the sweep flags, so the output is byte-stable) and
@@ -139,7 +139,6 @@ fn main() {
                 i += 1;
                 serve_opts.threads = args[i].parse().expect("--threads takes an integer");
             }
-            "--serial-stepping" => serve_opts.serial_stepping = true,
             "--out" => {
                 i += 1;
                 serve_opts.out = args[i].clone();
@@ -163,7 +162,7 @@ fn main() {
                 println!(
                     "figures [--total-log2 N] [--n-lo N] [--no-verify] [--trace-dir DIR] \
                      [--seed N] [--requests N] [--policy fifo|sjf|edf|all] [--pool-gpus N] \
-                     [--no-coalesce] [--shards N] [--threads N] [--serial-stepping] [--out DIR] \
+                     [--no-coalesce] [--shards N] [--threads N] [--out DIR] \
                      [--workload FILE] [--op-mix] \
                      [--fabric-sweep] [--devices model:count,...] \
                      [--fabric pcie|nvlink|nvswitch|dgx1|dgx2] \
@@ -417,7 +416,6 @@ struct ServeOpts {
     coalesce: bool,
     shards: usize,
     threads: usize,
-    serial_stepping: bool,
     out: String,
     workload: Option<String>,
     op_mix: bool,
@@ -436,7 +434,6 @@ impl Default for ServeOpts {
             coalesce: true,
             shards: 1,
             threads: 0,
-            serial_stepping: false,
             out: String::from("."),
             workload: None,
             op_mix: false,
@@ -555,7 +552,6 @@ fn serve(opts: &ServeOpts, trace_dir: &str) {
             opts.pool_gpus,
             opts.coalesce,
             opts.threads,
-            opts.serial_stepping,
         )
     });
     if let Some(sharded) = &sharded {
@@ -823,8 +819,7 @@ fn bench_self(opts: &ServeOpts) {
     const PAR_WINDOWS: usize = 5;
     let run_sharded = |serial: bool| {
         let mut config = scan_serve::RouterConfig::new(PAR_SHARDS, Policy::Fifo, opts.seed);
-        config.serial_stepping = serial;
-        config.threads = PAR_THREADS;
+        config.threads = if serial { 1 } else { PAR_THREADS };
         scan_serve::Router::new(config)
             .expect("valid shard topology")
             .run(&requests)

@@ -12,8 +12,8 @@ use devices::FabricPreset;
 use gpu_sim::DeviceSpec;
 use interconnect::Fabric;
 use scan_core::{
-    premises, scan_mppc, scan_mps, scan_mps_multinode, scan_sp, verify::verify_batch, Breakdown,
-    NodeConfig, ProblemParams, ScanOutput,
+    premises, verify::verify_batch, Breakdown, NodeConfig, ProblemParams, Proposal, ScanOutput,
+    ScanRequest,
 };
 use skeletons::{Add, SplkTuple};
 
@@ -98,26 +98,43 @@ impl Harness {
         }
     }
 
+    /// Run `request` on this harness's device over the point's input and
+    /// verify it; `None` if infeasible.
+    fn run(&self, request: ScanRequest<Add>, problem: ProblemParams) -> Option<ScanOutput<i32>> {
+        let input = self.input(problem);
+        let out = request.device(self.device.clone()).run(&input).ok()?;
+        self.check(problem, &input, &out);
+        Some(out)
+    }
+
+    /// A multi-GPU `proposal` on `cfg`, over this harness's fabric.
+    fn run_on(
+        &self,
+        proposal: Proposal,
+        cfg: NodeConfig,
+        problem: ProblemParams,
+        tuple: SplkTuple,
+    ) -> Option<ScanOutput<i32>> {
+        let request = ScanRequest::new(Add, problem)
+            .proposal(proposal)
+            .devices(cfg)
+            .fabric(self.fabric(cfg.m()))
+            .tuple(tuple);
+        self.run(request, problem)
+    }
+
     /// Scan-SP at size `n`; `None` if infeasible.
     pub fn run_sp(&self, n: u32) -> Option<ScanOutput<i32>> {
         let problem = self.problem(n);
         let tuple = self.tuple_for(&problem, 1)?;
-        let input = self.input(problem);
-        let out = scan_sp(Add, tuple, &self.device, problem, &input).ok()?;
-        self.check(problem, &input, &out);
-        Some(out)
+        self.run(ScanRequest::new(Add, problem).tuple(tuple), problem)
     }
 
     /// Scan-MPS at size `n` with `(w, v, y)` on one node.
     pub fn run_mps(&self, n: u32, w: usize, v: usize, y: usize) -> Option<ScanOutput<i32>> {
         let problem = self.problem(n);
         let tuple = self.tuple_for(&problem, w)?;
-        let cfg = NodeConfig::new(w, v, y, 1).ok()?;
-        let fabric = self.fabric(1);
-        let input = self.input(problem);
-        let out = scan_mps(Add, tuple, &self.device, &fabric, cfg, problem, &input).ok()?;
-        self.check(problem, &input, &out);
-        Some(out)
+        self.run_on(Proposal::Mps, NodeConfig::new(w, v, y, 1).ok()?, problem, tuple)
     }
 
     /// Scan-MP-PC at size `n` with `(w, v, y)` over `m` nodes.
@@ -131,12 +148,7 @@ impl Harness {
     ) -> Option<ScanOutput<i32>> {
         let problem = self.problem(n);
         let tuple = self.tuple_for(&problem, v)?;
-        let cfg = NodeConfig::new(w, v, y, m).ok()?;
-        let fabric = self.fabric(m);
-        let input = self.input(problem);
-        let out = scan_mppc(Add, tuple, &self.device, &fabric, cfg, problem, &input).ok()?;
-        self.check(problem, &input, &out);
-        Some(out)
+        self.run_on(Proposal::Mppc, NodeConfig::new(w, v, y, m).ok()?, problem, tuple)
     }
 
     /// Multi-node Scan-MPS at size `n` with `(w, v, y)` over `m ≥ 2` nodes.
@@ -150,13 +162,7 @@ impl Harness {
     ) -> Option<ScanOutput<i32>> {
         let problem = self.problem(n);
         let tuple = self.tuple_for(&problem, w * m)?;
-        let cfg = NodeConfig::new(w, v, y, m).ok()?;
-        let fabric = self.fabric(m);
-        let input = self.input(problem);
-        let out =
-            scan_mps_multinode(Add, tuple, &self.device, &fabric, cfg, problem, &input).ok()?;
-        self.check(problem, &input, &out);
-        Some(out)
+        self.run_on(Proposal::MpsMultinode, NodeConfig::new(w, v, y, m).ok()?, problem, tuple)
     }
 
     /// The best single-node proposal at size `n` — the paper picks, per
@@ -376,7 +382,10 @@ impl Harness {
         space
             .into_iter()
             .filter_map(|k| {
-                scan_sp(Add, base.with_k(k), &self.device, problem, &input)
+                ScanRequest::new(Add, problem)
+                    .device(self.device.clone())
+                    .tuple(base.with_k(k))
+                    .run(&input)
                     .ok()
                     .map(|out| (k, out.report.seconds()))
             })

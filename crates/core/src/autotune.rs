@@ -14,7 +14,7 @@ use crate::error::{ScanError, ScanResult};
 use crate::params::ProblemParams;
 use crate::premises;
 use crate::report::ScanOutput;
-use crate::single::scan_sp;
+use crate::request::ScanRequest;
 
 /// Outcome of a `K` sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,10 +77,11 @@ pub fn autotune_scan_sp<T: Scannable, O: ScanOp<T>>(
             "problem too small for the premise tuple on one GPU".into(),
         ));
     }
+    let request = ScanRequest::new(op, problem).device(device.clone());
     let tune = autotune_k(&space, |k| {
-        scan_sp(op, base.with_k(k), device, problem, input).map(|o| o.report.seconds())
+        request.clone().tuple(base.with_k(k)).run(input).map(|o| o.report.seconds())
     })?;
-    let best = scan_sp(op, base.with_k(tune.best_k), device, problem, input)?;
+    let best = request.tuple(base.with_k(tune.best_k)).run(input)?;
     Ok((best, tune))
 }
 

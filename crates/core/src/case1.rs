@@ -18,10 +18,11 @@ use crate::exec::{build_pipeline_graph, PipelinePolicy, PipelineRun};
 use crate::params::{NodeConfig, ProblemParams, ScanKind};
 use crate::report::{RunReport, ScanOutput};
 
-/// Batch inclusive scan with one-problem-set-per-GPU distribution.
+/// Batch inclusive scan with one-problem-set-per-GPU distribution — the
+/// body behind [`crate::Proposal::Case1`].
 ///
 /// Requires `G ≥ total GPUs` (each GPU gets at least one whole problem).
-pub fn scan_case1<T: Scannable, O: ScanOp<T>>(
+pub(crate) fn scan_case1<T: Scannable, O: ScanOp<T>>(
     op: O,
     tuple: SplkTuple,
     device: &DeviceSpec,
@@ -102,62 +103,46 @@ mod tests {
         (0..n).map(|i| ((i as i64 * 131 + 17) % 191) as i32 - 95).collect()
     }
 
+    fn run_case1(
+        tuple: SplkTuple,
+        cfg: NodeConfig,
+        problem: ProblemParams,
+        input: &[i32],
+    ) -> ScanResult<ScanOutput<i32>> {
+        crate::ScanRequest::new(Add, problem)
+            .proposal(crate::Proposal::Case1)
+            .devices(cfg)
+            .tuple(tuple)
+            .run(input)
+    }
+
     #[test]
     fn independent_problems_scan_correctly() {
-        let fabric = Fabric::tsubame_kfc(1);
         let problem = ProblemParams::new(12, 3); // 8 problems over 4 GPUs
         let input = pseudo(problem.total_elems());
         let cfg = NodeConfig::new(4, 4, 1, 1).unwrap();
-        let out = scan_case1(
-            Add,
-            SplkTuple::kepler_premises(0),
-            &DeviceSpec::tesla_k80(),
-            &fabric,
-            cfg,
-            problem,
-            &input,
-        )
-        .unwrap();
+        let out = run_case1(SplkTuple::kepler_premises(0), cfg, problem, &input).unwrap();
         verify_batch(Add, problem, &input, &out.data).unwrap();
         assert!(out.report.label.contains("4 GPUs"));
     }
 
     #[test]
     fn no_communication_phases() {
-        let fabric = Fabric::tsubame_kfc(1);
         let problem = ProblemParams::new(12, 2);
         let input = pseudo(problem.total_elems());
         let cfg = NodeConfig::new(2, 2, 1, 1).unwrap();
-        let out = scan_case1(
-            Add,
-            SplkTuple::kepler_premises(0),
-            &DeviceSpec::tesla_k80(),
-            &fabric,
-            cfg,
-            problem,
-            &input,
-        )
-        .unwrap();
+        let out = run_case1(SplkTuple::kepler_premises(0), cfg, problem, &input).unwrap();
         assert_eq!(out.report.timeline.seconds_with_prefix("comm:"), 0.0);
         assert_eq!(out.report.timeline.seconds_with_prefix("MPI"), 0.0);
     }
 
     #[test]
     fn too_few_problems_rejected() {
-        let fabric = Fabric::tsubame_kfc(1);
         let problem = ProblemParams::new(12, 1); // 2 problems, 4 GPUs
         let input = pseudo(problem.total_elems());
         let cfg = NodeConfig::new(4, 4, 1, 1).unwrap();
         assert!(matches!(
-            scan_case1(
-                Add,
-                SplkTuple::kepler_premises(0),
-                &DeviceSpec::tesla_k80(),
-                &fabric,
-                cfg,
-                problem,
-                &input
-            ),
+            run_case1(SplkTuple::kepler_premises(0), cfg, problem, &input),
             Err(ScanError::InvalidConfig(_))
         ));
     }
@@ -165,23 +150,11 @@ mod tests {
     #[test]
     fn scales_throughput_with_gpus() {
         // Large enough that memory time, not launch overhead, dominates.
-        let fabric = Fabric::tsubame_kfc(1);
         let problem = ProblemParams::new(16, 6);
         let input = pseudo(problem.total_elems());
         let t = SplkTuple::kepler_premises(1);
-        let device = DeviceSpec::tesla_k80();
-        let one = scan_case1(Add, t, &device, &fabric, NodeConfig::single_gpu(), problem, &input)
-            .unwrap();
-        let four = scan_case1(
-            Add,
-            t,
-            &device,
-            &fabric,
-            NodeConfig::new(4, 4, 1, 1).unwrap(),
-            problem,
-            &input,
-        )
-        .unwrap();
+        let one = run_case1(t, NodeConfig::single_gpu(), problem, &input).unwrap();
+        let four = run_case1(t, NodeConfig::new(4, 4, 1, 1).unwrap(), problem, &input).unwrap();
         assert!(
             four.report.seconds() < one.report.seconds() / 2.0,
             "4 independent GPUs must be much faster ({} vs {})",

@@ -1,8 +1,8 @@
 //! Fault-injected scan runs with degraded-mode replanning.
 //!
-//! The faulted entry points mirror the healthy proposals — [`scan_sp_faulted`],
-//! [`scan_mps_faulted`], [`scan_mppc_faulted`], [`scan_mps_multinode_faulted`]
-//! — but execute under a seeded [`FaultPlan`]:
+//! The faulted bodies mirror the healthy proposals — `ScanRequest::faults`
+//! routes Sp, Mps, Mppc and MpsMultinode here — but execute under a seeded
+//! [`FaultPlan`]:
 //!
 //! * **SM throttles** slow the affected GPU's kernels (applied by the
 //!   `gpu-sim` layer, so the throttled durations flow into the execution
@@ -38,14 +38,6 @@ use crate::params::{NodeConfig, ProblemParams, ScanKind};
 use crate::plan::ExecutionPlan;
 use crate::report::{RunReport, ScanOutput};
 use crate::stage1::run_stage1;
-
-/// Result of a fault-injected scan.
-///
-/// Since the fault record moved into [`ScanOutput`] as an
-/// `Option<FaultReport>` field, the faulted entry points return the same
-/// type as the healthy ones (with `faults` always `Some`). This alias is
-/// kept so pre-unification call sites keep compiling.
-pub type FaultyScanOutput<T> = ScanOutput<T>;
 
 /// Largest power of two ≤ `n` (0 maps to 0). Shared with the lease
 /// planner, whose partial-lease rule is the same largest-feasible-subset
@@ -246,14 +238,14 @@ fn faulted_group_pipeline<T: Scannable, O: ScanOp<T>>(
 /// A single GPU has no links, so only SM throttles apply — and evicting
 /// GPU 0 is always "evicting the last GPU", surfaced as
 /// [`ScanError::InvalidConfig`].
-pub fn scan_sp_faulted<T: Scannable, O: ScanOp<T>>(
+pub(crate) fn scan_sp_faulted<T: Scannable, O: ScanOp<T>>(
     op: O,
     tuple: SplkTuple,
     device: &DeviceSpec,
     problem: ProblemParams,
     input: &[T],
     fault_plan: &FaultPlan,
-) -> ScanResult<FaultyScanOutput<T>> {
+) -> ScanResult<ScanOutput<T>> {
     let fabric = Fabric::new(interconnect::Topology::single_gpu(), Default::default());
     let mut faults = FaultReport::new(fault_plan);
     record_throttles(fault_plan, &[0], &mut faults);
@@ -279,11 +271,11 @@ pub fn scan_sp_faulted<T: Scannable, O: ScanOp<T>>(
 
 /// Fault-injected Scan-MPS (single node) with degraded-mode replanning.
 ///
-/// `policy` controls the sub-batch split exactly as in
-/// [`crate::mps::scan_mps_with`]; an eviction aborts the sub-batch it
-/// lands on and replans the remaining work over the survivors.
+/// `policy` controls the sub-batch split exactly as in the healthy
+/// Scan-MPS; an eviction aborts the sub-batch it lands on and replans the
+/// remaining work over the survivors.
 #[allow(clippy::too_many_arguments)]
-pub fn scan_mps_faulted<T: Scannable, O: ScanOp<T>>(
+pub(crate) fn scan_mps_faulted<T: Scannable, O: ScanOp<T>>(
     op: O,
     tuple: SplkTuple,
     device: &DeviceSpec,
@@ -293,12 +285,10 @@ pub fn scan_mps_faulted<T: Scannable, O: ScanOp<T>>(
     input: &[T],
     policy: &PipelinePolicy,
     fault_plan: &FaultPlan,
-) -> ScanResult<FaultyScanOutput<T>> {
+) -> ScanResult<ScanOutput<T>> {
     if cfg.m() != 1 {
         return Err(ScanError::InvalidConfig(
-            "scan_mps_faulted is the single-node proposal; use scan_mps_multinode_faulted for \
-             M > 1"
-                .into(),
+            "Mps is the single-node proposal; use MpsMultinode for M > 1".into(),
         ));
     }
     cfg.validate_against(fabric.topology())?;
@@ -335,13 +325,13 @@ pub fn scan_mps_faulted<T: Scannable, O: ScanOp<T>>(
 /// Fault-injected Scan-MP-PC: each network group runs under the plan, and
 /// an eviction replans only the group that lost the device.
 ///
-/// Unlike the healthy [`crate::mppc::scan_mppc`], the group subgraphs are
-/// appended sequentially into one shared graph instead of being merged by
-/// phase index — a replanned group grows extra `recovery:` phases that
+/// Unlike the healthy Scan-MP-PC, the group subgraphs are appended
+/// sequentially into one shared graph instead of being merged by phase
+/// index — a replanned group grows extra `recovery:` phases that
 /// index-matching could not align. Groups still share no stream or link,
 /// so the schedule overlaps them fully either way.
 #[allow(clippy::too_many_arguments)]
-pub fn scan_mppc_faulted<T: Scannable, O: ScanOp<T>>(
+pub(crate) fn scan_mppc_faulted<T: Scannable, O: ScanOp<T>>(
     op: O,
     tuple: SplkTuple,
     device: &DeviceSpec,
@@ -351,7 +341,7 @@ pub fn scan_mppc_faulted<T: Scannable, O: ScanOp<T>>(
     input: &[T],
     policy: &PipelinePolicy,
     fault_plan: &FaultPlan,
-) -> ScanResult<FaultyScanOutput<T>> {
+) -> ScanResult<ScanOutput<T>> {
     cfg.validate_against(fabric.topology())?;
     if input.len() != problem.total_elems() {
         return Err(ScanError::InvalidInput(format!(
@@ -415,7 +405,7 @@ pub fn scan_mppc_faulted<T: Scannable, O: ScanOp<T>>(
 /// rejected — there is no replanning protocol across MPI ranks, so an
 /// eviction plan is an invalid configuration rather than a panic.
 #[allow(clippy::too_many_arguments)]
-pub fn scan_mps_multinode_faulted<T: Scannable, O: ScanOp<T>>(
+pub(crate) fn scan_mps_multinode_faulted<T: Scannable, O: ScanOp<T>>(
     op: O,
     tuple: SplkTuple,
     device: &DeviceSpec,
@@ -424,7 +414,7 @@ pub fn scan_mps_multinode_faulted<T: Scannable, O: ScanOp<T>>(
     problem: ProblemParams,
     input: &[T],
     fault_plan: &FaultPlan,
-) -> ScanResult<FaultyScanOutput<T>> {
+) -> ScanResult<ScanOutput<T>> {
     if !fault_plan.evictions().is_empty() {
         return Err(ScanError::InvalidConfig(
             "device eviction is not supported for the multi-node proposal: MPI ranks cannot \
@@ -483,8 +473,18 @@ mod tests {
         let input = pseudo(problem.total_elems());
         let cfg = NodeConfig::new(2, 2, 1, 1).unwrap();
         let tuple = SplkTuple::kepler_premises(0);
-        let healthy =
-            crate::mps::scan_mps(Add, tuple, &k80(), &fabric, cfg, problem, &input).unwrap();
+        let healthy = crate::mps::scan_mps(
+            Add,
+            tuple,
+            &k80(),
+            &fabric,
+            cfg,
+            problem,
+            &input,
+            ScanKind::Inclusive,
+            &PipelinePolicy::default(),
+        )
+        .unwrap();
         let faulted = scan_mps_faulted(
             Add,
             tuple,
@@ -513,8 +513,18 @@ mod tests {
         let input = pseudo(problem.total_elems());
         let cfg = NodeConfig::new(2, 2, 1, 1).unwrap();
         let tuple = SplkTuple::kepler_premises(0);
-        let healthy =
-            crate::mps::scan_mps(Add, tuple, &k80(), &fabric, cfg, problem, &input).unwrap();
+        let healthy = crate::mps::scan_mps(
+            Add,
+            tuple,
+            &k80(),
+            &fabric,
+            cfg,
+            problem,
+            &input,
+            ScanKind::Inclusive,
+            &PipelinePolicy::default(),
+        )
+        .unwrap();
         let faulted = scan_mps_faulted(
             Add,
             tuple,

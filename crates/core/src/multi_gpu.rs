@@ -260,47 +260,11 @@ pub fn assemble_output<T: Scannable>(plan: &ExecutionPlan, workers: &[Worker<T>]
 /// kernels sit on per-GPU streams and whose exchanges occupy the links they
 /// traverse. Returns the scanned batch (problem-major) and the scheduled
 /// [`PipelineRun`] (graph, derived timeline, makespan).
-pub fn run_pipeline_group<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
-    gpu_ids: &[usize],
-    problem: ProblemParams,
-    input: &[T],
-) -> ScanResult<(Vec<T>, PipelineRun)> {
-    run_pipeline_group_kind(op, tuple, device, fabric, gpu_ids, problem, input, ScanKind::Inclusive)
-}
-
-/// [`run_pipeline_group`] with explicit inclusive/exclusive semantics.
+///
+/// `kind` selects inclusive or exclusive semantics; `policy` the issue
+/// policy (sub-batch count and communication/compute overlap).
 #[allow(clippy::too_many_arguments)]
-pub fn run_pipeline_group_kind<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
-    gpu_ids: &[usize],
-    problem: ProblemParams,
-    input: &[T],
-    kind: ScanKind,
-) -> ScanResult<(Vec<T>, PipelineRun)> {
-    run_pipeline_group_policy(
-        op,
-        tuple,
-        device,
-        fabric,
-        gpu_ids,
-        problem,
-        input,
-        kind,
-        &PipelinePolicy::barrier_synchronous(),
-    )
-}
-
-/// [`run_pipeline_group_kind`] with an explicit issue policy (sub-batch
-/// count and communication/compute overlap).
-#[allow(clippy::too_many_arguments)]
-pub fn run_pipeline_group_policy<T: Scannable, O: ScanOp<T>>(
+pub(crate) fn run_pipeline_group<T: Scannable, O: ScanOp<T>>(
     op: O,
     tuple: SplkTuple,
     device: &DeviceSpec,
@@ -397,6 +361,8 @@ mod tests {
             &[0, 1],
             problem,
             &input,
+            ScanKind::Inclusive,
+            &PipelinePolicy::default(),
         )
         .unwrap();
         for g in 0..4 {
@@ -426,6 +392,8 @@ mod tests {
             &[0],
             problem,
             &input,
+            ScanKind::Inclusive,
+            &PipelinePolicy::default(),
         )
         .unwrap();
         for g in 0..8 {
@@ -450,6 +418,8 @@ mod tests {
             &[0, 1, 2, 3],
             problem,
             &input,
+            ScanKind::Inclusive,
+            &PipelinePolicy::default(),
         )
         .unwrap();
         for g in 0..2 {
@@ -466,12 +436,30 @@ mod tests {
         let fabric = Fabric::tsubame_kfc(1);
         let tuple = SplkTuple::kepler_premises(0);
         // Same-network four GPUs vs four GPUs split across two networks.
-        let (_, run_p2p) =
-            run_pipeline_group(Add, tuple, &k80(), &fabric, &[0, 1, 2, 3], problem, &input)
-                .unwrap();
-        let (_, run_host) =
-            run_pipeline_group(Add, tuple, &k80(), &fabric, &[0, 1, 4, 5], problem, &input)
-                .unwrap();
+        let (_, run_p2p) = run_pipeline_group(
+            Add,
+            tuple,
+            &k80(),
+            &fabric,
+            &[0, 1, 2, 3],
+            problem,
+            &input,
+            ScanKind::Inclusive,
+            &PipelinePolicy::default(),
+        )
+        .unwrap();
+        let (_, run_host) = run_pipeline_group(
+            Add,
+            tuple,
+            &k80(),
+            &fabric,
+            &[0, 1, 4, 5],
+            problem,
+            &input,
+            ScanKind::Inclusive,
+            &PipelinePolicy::default(),
+        )
+        .unwrap();
         let comm_p2p = run_p2p.timeline.seconds_with_prefix("comm:");
         let comm_host = run_host.timeline.seconds_with_prefix("comm:");
         assert!(

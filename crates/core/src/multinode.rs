@@ -27,10 +27,12 @@ use crate::stage1::run_stage1;
 use crate::stage2::run_stage2;
 use crate::stage3::run_stage3;
 
-/// Batch inclusive scan with Multi-GPU Problem Scattering across `M` nodes.
+/// Batch inclusive scan with Multi-GPU Problem Scattering across `M` nodes
+/// — the body behind [`crate::Proposal::MpsMultinode`].
 ///
-/// Requires `cfg.m() > 1`; for a single node use [`crate::mps::scan_mps`].
-pub fn scan_mps_multinode<T: Scannable, O: ScanOp<T>>(
+/// Requires `cfg.m() > 1`; a single node runs through the single-node
+/// proposal.
+pub(crate) fn scan_mps_multinode<T: Scannable, O: ScanOp<T>>(
     op: O,
     tuple: SplkTuple,
     device: &DeviceSpec,
@@ -70,7 +72,7 @@ pub(crate) fn build_multinode_graph<T: Scannable, O: ScanOp<T>>(
 ) -> ScanResult<(Vec<T>, ExecGraph)> {
     if cfg.m() < 2 {
         return Err(ScanError::InvalidConfig(
-            "scan_mps_multinode needs M ≥ 2; use scan_mps on a single node".into(),
+            "MpsMultinode needs M ≥ 2; use Mps on a single node".into(),
         ));
     }
     cfg.validate_against(fabric.topology())?;
@@ -220,8 +222,17 @@ mod tests {
         (0..n).map(|i| ((i as i64 * 48271 + 3) % 163) as i32 - 81).collect()
     }
 
-    fn k80() -> DeviceSpec {
-        DeviceSpec::tesla_k80()
+    fn run_multinode(
+        fabric: &Fabric,
+        cfg: NodeConfig,
+        problem: ProblemParams,
+        input: &[i32],
+    ) -> ScanResult<ScanOutput<i32>> {
+        crate::ScanRequest::new(Add, problem)
+            .proposal(crate::Proposal::MpsMultinode)
+            .devices(cfg)
+            .fabric(fabric.clone())
+            .run(input)
     }
 
     fn verify_batch(out: &[i32], input: &[i32], problem: ProblemParams) {
@@ -239,16 +250,7 @@ mod tests {
         let problem = ProblemParams::new(14, 2);
         let input = pseudo(problem.total_elems());
         let cfg = NodeConfig::new(4, 4, 1, 2).unwrap();
-        let out = scan_mps_multinode(
-            Add,
-            SplkTuple::kepler_premises(0),
-            &k80(),
-            &fabric,
-            cfg,
-            problem,
-            &input,
-        )
-        .unwrap();
+        let out = run_multinode(&fabric, cfg, problem, &input).unwrap();
         verify_batch(&out.data, &input, problem);
         assert!(out.report.label.contains("M=2"));
     }
@@ -259,16 +261,7 @@ mod tests {
         let problem = ProblemParams::new(14, 1);
         let input = pseudo(problem.total_elems());
         let cfg = NodeConfig::new(2, 2, 1, 2).unwrap();
-        let out = scan_mps_multinode(
-            Add,
-            SplkTuple::kepler_premises(0),
-            &k80(),
-            &fabric,
-            cfg,
-            problem,
-            &input,
-        )
-        .unwrap();
+        let out = run_multinode(&fabric, cfg, problem, &input).unwrap();
         let tl = &out.report.timeline;
         assert!(tl.seconds_with_prefix("MPI_Gather") > 0.0);
         assert!(tl.seconds_with_prefix("MPI_Scatter") > 0.0);
@@ -285,27 +278,10 @@ mod tests {
         let fabric = Fabric::tsubame_kfc(8);
         let problem = ProblemParams::new(14, 2);
         let input = pseudo(problem.total_elems());
-        let t = SplkTuple::kepler_premises(0);
-        let m2w4 = scan_mps_multinode(
-            Add,
-            t,
-            &k80(),
-            &fabric,
-            NodeConfig::new(4, 4, 1, 2).unwrap(),
-            problem,
-            &input,
-        )
-        .unwrap();
-        let m8w1 = scan_mps_multinode(
-            Add,
-            t,
-            &k80(),
-            &fabric,
-            NodeConfig::new(1, 1, 1, 8).unwrap(),
-            problem,
-            &input,
-        )
-        .unwrap();
+        let m2w4 =
+            run_multinode(&fabric, NodeConfig::new(4, 4, 1, 2).unwrap(), problem, &input).unwrap();
+        let m8w1 =
+            run_multinode(&fabric, NodeConfig::new(1, 1, 1, 8).unwrap(), problem, &input).unwrap();
         verify_batch(&m8w1.data, &input, problem);
         let mpi_24 = m2w4.report.timeline.seconds_with_prefix("MPI_Gather")
             + m2w4.report.timeline.seconds_with_prefix("MPI_Scatter");
@@ -322,15 +298,7 @@ mod tests {
         let input = pseudo(problem.total_elems());
         let cfg = NodeConfig::new(4, 4, 1, 1).unwrap();
         assert!(matches!(
-            scan_mps_multinode(
-                Add,
-                SplkTuple::kepler_premises(0),
-                &k80(),
-                &fabric,
-                cfg,
-                problem,
-                &input
-            ),
+            run_multinode(&fabric, cfg, problem, &input),
             Err(ScanError::InvalidConfig(_))
         ));
     }

@@ -195,13 +195,13 @@ pub struct Premise4Recommendation {
 /// The proposal Premise 4 selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecommendedProposal {
-    /// [`crate::scan_sp`].
+    /// [`Proposal::Sp`](crate::Proposal::Sp).
     ScanSp,
-    /// [`crate::scan_mps`] (single node).
+    /// [`Proposal::Mps`](crate::Proposal::Mps) (single node).
     ScanMps,
-    /// [`crate::scan_mppc`].
+    /// [`Proposal::Mppc`](crate::Proposal::Mppc).
     ScanMpPc,
-    /// [`crate::scan_mps_multinode`].
+    /// [`Proposal::MpsMultinode`](crate::Proposal::MpsMultinode).
     ScanMpsMultinode,
 }
 

@@ -1,9 +1,9 @@
 //! The unified scan entry point: [`ScanRequest`].
 //!
-//! The library grew one free function per proposal, then a `_faulted` twin
-//! per proposal, then policy (`_with`) and semantics (`_kind`, `_exclusive`)
-//! variants of each — ten entry points whose signatures drifted apart.
-//! `ScanRequest` collapses them behind one builder:
+//! The paper's proposals differ only in how they distribute the batch, so
+//! one builder names the proposal once and selects devices, fabric,
+//! semantics, pipelining, fault injection, plan caching and tracing
+//! uniformly:
 //!
 //! ```
 //! use gpu_sim::DeviceSpec;
@@ -22,10 +22,9 @@
 //! assert_eq!(out.data.len(), input.len());
 //! ```
 //!
-//! `run` delegates to the *same* implementation path the legacy free
-//! functions use, so a request reproduces their outputs (data and schedule
-//! bits) exactly; the free functions remain as thin aliases for existing
-//! call sites.
+//! `run` is a dispatch table: each (proposal, fault plan) pair maps to
+//! exactly one crate-private implementation, so adding a proposal means
+//! adding one arm here.
 
 use std::sync::Arc;
 
@@ -278,9 +277,7 @@ impl<O: Copy> ScanRequest<O> {
 
     /// Execute the request over `input` (problem-major `[g][N]` layout).
     ///
-    /// Dispatches to exactly the implementation path of the corresponding
-    /// legacy free function, so outputs are reproduced bit-identically;
-    /// invalid combinations (exclusive + faults, a policy for a proposal
+    /// Invalid combinations (exclusive + faults, a policy for a proposal
     /// that cannot pipeline, a missing device selection) surface as
     /// [`ScanError::InvalidConfig`] instead of being silently ignored.
     pub fn run<T: Scannable>(&self, input: &[T]) -> ScanResult<ScanOutput<T>>
@@ -290,6 +287,7 @@ impl<O: Copy> ScanRequest<O> {
         let device = self.device.clone().unwrap_or_else(DeviceSpec::tesla_k80);
         let tuple = self.tuple.unwrap_or_else(|| SplkTuple::kepler_premises(0));
         let policy = self.policy.unwrap_or_default();
+        let (op, problem, kind) = (self.op, self.problem, self.kind);
         if self.faults.is_some() {
             self.reject_exclusive("the fault-injected twins run inclusive scans")?;
         }
@@ -319,47 +317,25 @@ impl<O: Copy> ScanRequest<O> {
             let fabric = fabric(needed.div_ceil(per_node));
             let lease = crate::lease::GpuLease::new(ids.clone(), 0)?;
             let leased = match &self.plan_cache {
-                Some(cache) => crate::cache::scan_on_lease_cached(
-                    cache,
-                    self.op,
-                    tuple,
-                    &device,
-                    &fabric,
-                    &lease,
-                    self.problem,
-                    input,
-                    self.kind,
-                    &policy,
-                )?,
+                Some(cache) => cache
+                    .plan::<T, O>(&device, &fabric, &lease, problem, tuple, kind, &policy)
+                    .run(op, input)?,
                 None => crate::lease::scan_on_lease(
-                    self.op,
-                    tuple,
-                    &device,
-                    &fabric,
-                    &lease,
-                    self.problem,
-                    input,
-                    self.kind,
-                    &policy,
+                    op, tuple, &device, &fabric, &lease, problem, input, kind, &policy,
                 )?,
             };
             let label = format!("Scan-Lease {} GPUs", leased.gpus_used.len());
-            let mut out = ScanOutput::new(
-                leased.data,
-                crate::report::RunReport::from_run(label, self.problem.total_elems(), leased.run),
-            );
-            if self.trace.is_enabled() {
-                out.trace = out.report.graph.as_ref().map(TraceHandle::from_graph);
-            }
-            return Ok(out);
+            let report =
+                crate::report::RunReport::from_run(label, problem.total_elems(), leased.run);
+            return Ok(self.traced(ScanOutput::new(leased.data, report)));
         }
 
-        // Consult the plan cache before dispatching. `precheck` raises the
-        // same errors the dispatch arms would, so a hit cannot legitimize an
-        // invalid request; faulted runs bypass the cache entirely.
+        // `precheck` raises every error a dispatch arm would, before the
+        // plan cache is consulted, so a hit cannot legitimize an invalid
+        // request. Faulted runs bypass the cache entirely.
+        let cfg = self.precheck()?;
         let cached = match (&self.plan_cache, &self.faults) {
             (Some(cache), None) => {
-                let cfg = self.precheck()?;
                 let key = CacheKey {
                     proposal: match self.proposal {
                         Proposal::Sp => "Sp",
@@ -368,9 +344,9 @@ impl<O: Copy> ScanRequest<O> {
                         Proposal::MpsMultinode => "MpsMultinode",
                         Proposal::Case1 => "Case1",
                     },
-                    problem: self.problem,
+                    problem,
                     tuple,
-                    kind: self.kind,
+                    kind,
                     elem_bytes: std::mem::size_of::<T>(),
                     op: std::any::type_name::<O>(),
                     elem: std::any::type_name::<T>(),
@@ -384,13 +360,8 @@ impl<O: Copy> ScanRequest<O> {
                     fabric: cfg.map(|c| FabricKey::of(&fabric(c.m()))),
                 };
                 if let Some(plan) = cache.lookup(&key) {
-                    let data =
-                        crate::cache::reference_result(self.op, self.problem, input, self.kind);
-                    let mut out = ScanOutput::new(data, plan.report.clone());
-                    if self.trace.is_enabled() {
-                        out.trace = out.report.graph.as_ref().map(TraceHandle::from_graph);
-                    }
-                    return Ok(out);
+                    let data = crate::cache::reference_result(op, problem, input, kind);
+                    return Ok(self.traced(ScanOutput::new(data, plan.report.clone())));
                 }
                 Some((cache, key))
             }
@@ -401,102 +372,52 @@ impl<O: Copy> ScanRequest<O> {
             _ => None,
         };
 
-        let mut out = match (self.proposal, &self.faults) {
+        // The dispatch table: one implementation per (proposal, fault plan).
+        let node = || self.require_cfg().map(|c| (c, fabric(c.m())));
+        let out = match (self.proposal, &self.faults) {
             (Proposal::Sp, None) => {
-                self.reject_policy()?;
-                crate::single::scan_sp_kind(self.op, tuple, &device, self.problem, input, self.kind)
+                crate::single::scan_sp(op, tuple, &device, problem, input, kind)
             }
             (Proposal::Sp, Some(plan)) => {
-                self.reject_policy()?;
-                crate::fault::scan_sp_faulted(self.op, tuple, &device, self.problem, input, plan)
+                crate::fault::scan_sp_faulted(op, tuple, &device, problem, input, plan)
             }
-            (Proposal::Mps, None) => crate::mps::scan_mps_with_kind(
-                self.op,
-                tuple,
-                &device,
-                &fabric(self.require_cfg()?.m()),
-                self.require_cfg()?,
-                self.problem,
-                input,
-                self.kind,
-                &policy,
-            ),
+            (Proposal::Mps, None) => {
+                let (cfg, fabric) = node()?;
+                crate::mps::scan_mps(
+                    op, tuple, &device, &fabric, cfg, problem, input, kind, &policy,
+                )
+            }
             (Proposal::Mps, Some(plan)) => {
-                self.reject_exclusive("faulted Mps")?;
+                let (cfg, fabric) = node()?;
                 crate::fault::scan_mps_faulted(
-                    self.op,
-                    tuple,
-                    &device,
-                    &fabric(self.require_cfg()?.m()),
-                    self.require_cfg()?,
-                    self.problem,
-                    input,
-                    &policy,
-                    plan,
+                    op, tuple, &device, &fabric, cfg, problem, input, &policy, plan,
                 )
             }
             (Proposal::Mppc, None) => {
-                self.reject_exclusive("Mppc")?;
-                crate::mppc::scan_mppc_with(
-                    self.op,
-                    tuple,
-                    &device,
-                    &fabric(self.require_cfg()?.m()),
-                    self.require_cfg()?,
-                    self.problem,
-                    input,
-                    &policy,
+                let (cfg, fabric) = node()?;
+                crate::mppc::scan_mppc(op, tuple, &device, &fabric, cfg, problem, input, &policy)
+            }
+            (Proposal::Mppc, Some(plan)) => {
+                let (cfg, fabric) = node()?;
+                crate::fault::scan_mppc_faulted(
+                    op, tuple, &device, &fabric, cfg, problem, input, &policy, plan,
                 )
             }
-            (Proposal::Mppc, Some(plan)) => crate::fault::scan_mppc_faulted(
-                self.op,
-                tuple,
-                &device,
-                &fabric(self.require_cfg()?.m()),
-                self.require_cfg()?,
-                self.problem,
-                input,
-                &policy,
-                plan,
-            ),
             (Proposal::MpsMultinode, None) => {
-                self.reject_policy()?;
-                self.reject_exclusive("MpsMultinode")?;
+                let (cfg, fabric) = node()?;
                 crate::multinode::scan_mps_multinode(
-                    self.op,
-                    tuple,
-                    &device,
-                    &fabric(self.require_cfg()?.m()),
-                    self.require_cfg()?,
-                    self.problem,
-                    input,
+                    op, tuple, &device, &fabric, cfg, problem, input,
                 )
             }
             (Proposal::MpsMultinode, Some(plan)) => {
-                self.reject_policy()?;
+                let (cfg, fabric) = node()?;
                 crate::fault::scan_mps_multinode_faulted(
-                    self.op,
-                    tuple,
-                    &device,
-                    &fabric(self.require_cfg()?.m()),
-                    self.require_cfg()?,
-                    self.problem,
-                    input,
-                    plan,
+                    op, tuple, &device, &fabric, cfg, problem, input, plan,
                 )
             }
             (Proposal::Case1, None) => {
-                self.reject_policy()?;
-                self.reject_exclusive("Case1")?;
-                crate::case1::scan_case1(
-                    self.op,
-                    tuple,
-                    &device,
-                    &fabric(self.require_cfg()?.m()),
-                    self.require_cfg()?,
-                    self.problem,
-                    input,
-                )
+                let (cfg, fabric) = node()?;
+                crate::case1::scan_case1(op, tuple, &device, &fabric, cfg, problem, input)
             }
             (Proposal::Case1, Some(_)) => Err(ScanError::InvalidConfig(
                 "Case1 has no fault-injected twin: its groups share no link to fault and no \
@@ -506,8 +427,7 @@ impl<O: Copy> ScanRequest<O> {
         }?;
 
         if let Some((cache, key)) = cached {
-            let replayable =
-                out.data == crate::cache::reference_result(self.op, self.problem, input, self.kind);
+            let replayable = out.data == crate::cache::reference_result(op, problem, input, kind);
             cache.insert(
                 key,
                 CachedPlan {
@@ -524,11 +444,15 @@ impl<O: Copy> ScanRequest<O> {
                 },
             );
         }
+        Ok(self.traced(out))
+    }
 
+    /// Attach a ready [`TraceHandle`] when the request asked for one.
+    fn traced<T>(&self, mut out: ScanOutput<T>) -> ScanOutput<T> {
         if self.trace.is_enabled() {
             out.trace = out.report.graph.as_ref().map(TraceHandle::from_graph);
         }
-        Ok(out)
+        out
     }
 }
 
@@ -541,18 +465,287 @@ mod tests {
         (0..n).map(|i| ((i as i64 * 16807 + 11) % 211) as i32 - 105).collect()
     }
 
+    // `ScanRequest` is a front, not a fork: for every proposal — healthy
+    // and fault-injected, inclusive and exclusive, barrier and pipelined —
+    // a request must reproduce the crate-private implementation it
+    // dispatches to bit-identically.
+
+    fn device() -> DeviceSpec {
+        DeviceSpec::tesla_k80()
+    }
+
+    fn tuple() -> SplkTuple {
+        SplkTuple::kepler_premises(0)
+    }
+
+    /// Same data, same makespan bits, same label, same fault events.
+    fn assert_identical(direct: &ScanOutput<i32>, req: &ScanOutput<i32>) {
+        assert_eq!(req.data, direct.data, "data must match bit-for-bit");
+        assert_eq!(
+            req.report.makespan.to_bits(),
+            direct.report.makespan.to_bits(),
+            "schedules must match bit-for-bit"
+        );
+        assert_eq!(req.report.label, direct.report.label);
+        assert_eq!(
+            req.faults.as_ref().map(|f| &f.events),
+            direct.faults.as_ref().map(|f| &f.events),
+            "fault records must match"
+        );
+    }
+
+    fn request(proposal: Proposal, cfg: NodeConfig, problem: ProblemParams) -> ScanRequest<Add> {
+        ScanRequest::new(Add, problem).proposal(proposal).devices(cfg).tuple(tuple())
+    }
+
     #[test]
-    fn request_reproduces_scan_sp_bit_identically() {
-        let problem = ProblemParams::new(12, 2);
+    fn request_matches_scan_sp() {
+        let problem = ProblemParams::new(13, 2);
         let input = pseudo(problem.total_elems());
-        let tuple = SplkTuple::kepler_premises(0);
-        let legacy =
-            crate::single::scan_sp(Add, tuple, &DeviceSpec::tesla_k80(), problem, &input).unwrap();
+        let direct =
+            crate::single::scan_sp(Add, tuple(), &device(), problem, &input, ScanKind::Inclusive)
+                .unwrap();
         let req = ScanRequest::new(Add, problem).run(&input).unwrap();
-        assert_eq!(req.data, legacy.data);
-        assert_eq!(req.report.makespan.to_bits(), legacy.report.makespan.to_bits());
+        assert_identical(&direct, &req);
         assert!(req.faults.is_none());
         assert!(req.trace.is_none());
+    }
+
+    #[test]
+    fn request_matches_exclusive_scan_sp() {
+        let problem = ProblemParams::new(13, 1);
+        let input = pseudo(problem.total_elems());
+        let direct =
+            crate::single::scan_sp(Add, tuple(), &device(), problem, &input, ScanKind::Exclusive)
+                .unwrap();
+        let req = ScanRequest::new(Add, problem).tuple(tuple()).exclusive().run(&input).unwrap();
+        assert_identical(&direct, &req);
+    }
+
+    #[test]
+    fn request_matches_scan_mps() {
+        let problem = ProblemParams::new(13, 2);
+        let input = pseudo(problem.total_elems());
+        let cfg = NodeConfig::new(4, 4, 1, 1).unwrap();
+        let direct = crate::mps::scan_mps(
+            Add,
+            tuple(),
+            &device(),
+            &Fabric::tsubame_kfc(1),
+            cfg,
+            problem,
+            &input,
+            ScanKind::Inclusive,
+            &PipelinePolicy::default(),
+        )
+        .unwrap();
+        let req = request(Proposal::Mps, cfg, problem).run(&input).unwrap();
+        assert_identical(&direct, &req);
+    }
+
+    #[test]
+    fn request_matches_exclusive_scan_mps() {
+        let problem = ProblemParams::new(13, 1);
+        let input = pseudo(problem.total_elems());
+        let cfg = NodeConfig::new(2, 2, 1, 1).unwrap();
+        let direct = crate::mps::scan_mps(
+            Add,
+            tuple(),
+            &device(),
+            &Fabric::tsubame_kfc(1),
+            cfg,
+            problem,
+            &input,
+            ScanKind::Exclusive,
+            &PipelinePolicy::default(),
+        )
+        .unwrap();
+        let req = request(Proposal::Mps, cfg, problem).exclusive().run(&input).unwrap();
+        assert_identical(&direct, &req);
+    }
+
+    #[test]
+    fn request_matches_pipelined_scan_mps() {
+        let problem = ProblemParams::new(13, 3);
+        let input = pseudo(problem.total_elems());
+        let cfg = NodeConfig::new(4, 4, 1, 1).unwrap();
+        let policy = PipelinePolicy::pipelined(4);
+        let direct = crate::mps::scan_mps(
+            Add,
+            tuple(),
+            &device(),
+            &Fabric::tsubame_kfc(1),
+            cfg,
+            problem,
+            &input,
+            ScanKind::Inclusive,
+            &policy,
+        )
+        .unwrap();
+        let req = request(Proposal::Mps, cfg, problem).pipeline(policy).run(&input).unwrap();
+        assert_identical(&direct, &req);
+    }
+
+    #[test]
+    fn request_matches_scan_mppc() {
+        let problem = ProblemParams::new(13, 2);
+        let input = pseudo(problem.total_elems());
+        let cfg = NodeConfig::new(4, 2, 2, 1).unwrap();
+        let direct = crate::mppc::scan_mppc(
+            Add,
+            tuple(),
+            &device(),
+            &Fabric::tsubame_kfc(1),
+            cfg,
+            problem,
+            &input,
+            &PipelinePolicy::default(),
+        )
+        .unwrap();
+        let req = request(Proposal::Mppc, cfg, problem).run(&input).unwrap();
+        assert_identical(&direct, &req);
+    }
+
+    #[test]
+    fn request_matches_pipelined_scan_mppc() {
+        let problem = ProblemParams::new(13, 3);
+        let input = pseudo(problem.total_elems());
+        let cfg = NodeConfig::new(4, 2, 2, 1).unwrap();
+        let policy = PipelinePolicy::pipelined(2);
+        let direct = crate::mppc::scan_mppc(
+            Add,
+            tuple(),
+            &device(),
+            &Fabric::tsubame_kfc(1),
+            cfg,
+            problem,
+            &input,
+            &policy,
+        )
+        .unwrap();
+        let req = request(Proposal::Mppc, cfg, problem).pipeline(policy).run(&input).unwrap();
+        assert_identical(&direct, &req);
+    }
+
+    #[test]
+    fn request_matches_scan_mps_multinode() {
+        let problem = ProblemParams::new(14, 1);
+        let input = pseudo(problem.total_elems());
+        let cfg = NodeConfig::new(4, 4, 1, 2).unwrap();
+        let direct = crate::multinode::scan_mps_multinode(
+            Add,
+            tuple(),
+            &device(),
+            &Fabric::tsubame_kfc(2),
+            cfg,
+            problem,
+            &input,
+        )
+        .unwrap();
+        let req = request(Proposal::MpsMultinode, cfg, problem).run(&input).unwrap();
+        assert_identical(&direct, &req);
+    }
+
+    #[test]
+    fn request_matches_scan_case1() {
+        let problem = ProblemParams::new(13, 3);
+        let input = pseudo(problem.total_elems());
+        let cfg = NodeConfig::new(4, 4, 1, 1).unwrap();
+        let direct = crate::case1::scan_case1(
+            Add,
+            tuple(),
+            &device(),
+            &Fabric::tsubame_kfc(1),
+            cfg,
+            problem,
+            &input,
+        )
+        .unwrap();
+        let req = request(Proposal::Case1, cfg, problem).run(&input).unwrap();
+        assert_identical(&direct, &req);
+    }
+
+    #[test]
+    fn request_matches_scan_sp_faulted() {
+        let problem = ProblemParams::new(13, 1);
+        let input = pseudo(problem.total_elems());
+        let plan = FaultPlan::new(7).throttle_gpu(0, 2.0);
+        let direct =
+            crate::fault::scan_sp_faulted(Add, tuple(), &device(), problem, &input, &plan).unwrap();
+        let req = ScanRequest::new(Add, problem).tuple(tuple()).faults(plan).run(&input).unwrap();
+        assert_identical(&direct, &req);
+    }
+
+    #[test]
+    fn request_matches_scan_mps_faulted() {
+        let problem = ProblemParams::new(13, 2);
+        let input = pseudo(problem.total_elems());
+        let cfg = NodeConfig::new(4, 4, 1, 1).unwrap();
+        let policy = PipelinePolicy::batched_barrier(4);
+        let plan = FaultPlan::new(0xC0FFEE).evict_gpu(2, 1);
+        let direct = crate::fault::scan_mps_faulted(
+            Add,
+            tuple(),
+            &device(),
+            &Fabric::tsubame_kfc(1),
+            cfg,
+            problem,
+            &input,
+            &policy,
+            &plan,
+        )
+        .unwrap();
+        let req =
+            request(Proposal::Mps, cfg, problem).pipeline(policy).faults(plan).run(&input).unwrap();
+        assert_identical(&direct, &req);
+    }
+
+    #[test]
+    fn request_matches_scan_mppc_faulted() {
+        let problem = ProblemParams::new(13, 3);
+        let input = pseudo(problem.total_elems());
+        let cfg = NodeConfig::new(4, 2, 2, 1).unwrap();
+        let policy = PipelinePolicy::default();
+        let plan = FaultPlan::new(5).evict_gpu(4, 0);
+        let direct = crate::fault::scan_mppc_faulted(
+            Add,
+            tuple(),
+            &device(),
+            &Fabric::tsubame_kfc(1),
+            cfg,
+            problem,
+            &input,
+            &policy,
+            &plan,
+        )
+        .unwrap();
+        let req = request(Proposal::Mppc, cfg, problem)
+            .pipeline(policy)
+            .faults(plan)
+            .run(&input)
+            .unwrap();
+        assert_identical(&direct, &req);
+    }
+
+    #[test]
+    fn request_matches_scan_mps_multinode_faulted() {
+        let problem = ProblemParams::new(14, 1);
+        let input = pseudo(problem.total_elems());
+        let cfg = NodeConfig::new(4, 4, 1, 2).unwrap();
+        let plan = FaultPlan::new(9).degrade_link(interconnect::Resource::ib(0, 1), 8.0);
+        let direct = crate::fault::scan_mps_multinode_faulted(
+            Add,
+            tuple(),
+            &device(),
+            &Fabric::tsubame_kfc(2),
+            cfg,
+            problem,
+            &input,
+            &plan,
+        )
+        .unwrap();
+        let req = request(Proposal::MpsMultinode, cfg, problem).faults(plan).run(&input).unwrap();
+        assert_identical(&direct, &req);
     }
 
     #[test]

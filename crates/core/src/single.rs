@@ -9,39 +9,18 @@ use interconnect::Fabric;
 use skeletons::{ScanOp, Scannable, SplkTuple};
 
 use crate::error::ScanResult;
-use crate::multi_gpu::run_pipeline_group_kind;
+use crate::exec::PipelinePolicy;
+use crate::multi_gpu::run_pipeline_group;
 use crate::params::{ProblemParams, ScanKind};
 use crate::report::{RunReport, ScanOutput};
 
-/// Batch inclusive scan on a single GPU.
+/// Batch scan on a single GPU — the body behind [`crate::Proposal::Sp`].
 ///
 /// `input` holds the batch problem-major (`[g][N]`); the output preserves
 /// the layout. The tuple's `K` should come from the premises
-/// ([`crate::premises::default_k`]) or the autotuner.
-pub fn scan_sp<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    problem: ProblemParams,
-    input: &[T],
-) -> ScanResult<ScanOutput<T>> {
-    scan_sp_kind(op, tuple, device, problem, input, ScanKind::Inclusive)
-}
-
-/// Batch *exclusive* scan on a single GPU (`out[0] = identity`,
-/// `out[i] = x₀ ∘ … ∘ xᵢ₋₁` per problem).
-pub fn scan_sp_exclusive<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    problem: ProblemParams,
-    input: &[T],
-) -> ScanResult<ScanOutput<T>> {
-    scan_sp_kind(op, tuple, device, problem, input, ScanKind::Exclusive)
-}
-
-/// Scan-SP with explicit semantics.
-pub fn scan_sp_kind<T: Scannable, O: ScanOp<T>>(
+/// ([`crate::premises::default_k`]) or the autotuner. Exclusive semantics
+/// give `out[0] = identity`, `out[i] = x₀ ∘ … ∘ xᵢ₋₁` per problem.
+pub(crate) fn scan_sp<T: Scannable, O: ScanOp<T>>(
     op: O,
     tuple: SplkTuple,
     device: &DeviceSpec,
@@ -50,8 +29,17 @@ pub fn scan_sp_kind<T: Scannable, O: ScanOp<T>>(
     kind: ScanKind,
 ) -> ScanResult<ScanOutput<T>> {
     let fabric = Fabric::new(interconnect::Topology::single_gpu(), Default::default());
-    let (data, run) =
-        run_pipeline_group_kind(op, tuple, device, &fabric, &[0], problem, input, kind)?;
+    let (data, run) = run_pipeline_group(
+        op,
+        tuple,
+        device,
+        &fabric,
+        &[0],
+        problem,
+        input,
+        kind,
+        &PipelinePolicy::default(),
+    )?;
     let label = match kind {
         ScanKind::Inclusive => "Scan-SP",
         ScanKind::Exclusive => "Scan-SP (exclusive)",
@@ -68,15 +56,20 @@ mod tests {
         (0..n).map(|i| ((i as i64 * 1103515245 + 12345) % 211) as i32 - 105).collect()
     }
 
-    fn k80() -> DeviceSpec {
-        DeviceSpec::tesla_k80()
+    fn run_sp<T: Scannable, O: ScanOp<T>>(
+        op: O,
+        tuple: SplkTuple,
+        problem: ProblemParams,
+        input: &[T],
+    ) -> ScanResult<ScanOutput<T>> {
+        crate::ScanRequest::new(op, problem).tuple(tuple).run(input)
     }
 
     #[test]
     fn batch_scan_matches_reference() {
         let problem = ProblemParams::new(13, 3);
         let input = pseudo(problem.total_elems());
-        let out = scan_sp(Add, SplkTuple::kepler_premises(1), &k80(), problem, &input).unwrap();
+        let out = run_sp(Add, SplkTuple::kepler_premises(1), problem, &input).unwrap();
         let n = problem.problem_size();
         for g in 0..problem.batch() {
             let expected = reference_inclusive(Add, &input[g * n..(g + 1) * n]);
@@ -92,7 +85,7 @@ mod tests {
     fn single_problem_large_n() {
         let problem = ProblemParams::single(16);
         let input = pseudo(1 << 16);
-        let out = scan_sp(Add, SplkTuple::kepler_premises(2), &k80(), problem, &input).unwrap();
+        let out = run_sp(Add, SplkTuple::kepler_premises(2), problem, &input).unwrap();
         assert_eq!(out.data, reference_inclusive(Add, &input));
     }
 
@@ -103,14 +96,14 @@ mod tests {
         let n = problem.problem_size();
         let t = SplkTuple::kepler_premises(0);
 
-        let out = scan_sp(Max, t, &k80(), problem, &input).unwrap();
+        let out = run_sp(Max, t, problem, &input).unwrap();
         for g in 0..2 {
             assert_eq!(
                 &out.data[g * n..(g + 1) * n],
                 &reference_inclusive(Max, &input[g * n..(g + 1) * n])[..]
             );
         }
-        let out = scan_sp(Min, t, &k80(), problem, &input).unwrap();
+        let out = run_sp(Min, t, problem, &input).unwrap();
         for g in 0..2 {
             assert_eq!(
                 &out.data[g * n..(g + 1) * n],
@@ -118,7 +111,7 @@ mod tests {
             );
         }
         let ones = vec![1i32; problem.total_elems()];
-        let out = scan_sp(Mul, t, &k80(), problem, &ones).unwrap();
+        let out = run_sp(Mul, t, problem, &ones).unwrap();
         assert!(out.data.iter().all(|&v| v == 1));
     }
 
@@ -126,7 +119,7 @@ mod tests {
     fn works_with_i64_elements() {
         let problem = ProblemParams::new(12, 1);
         let input: Vec<i64> = pseudo(problem.total_elems()).iter().map(|&v| v as i64).collect();
-        let out = scan_sp(Add, SplkTuple::kepler_premises(0), &k80(), problem, &input).unwrap();
+        let out = run_sp(Add, SplkTuple::kepler_premises(0), problem, &input).unwrap();
         let n = problem.problem_size();
         for g in 0..2 {
             assert_eq!(
@@ -140,8 +133,8 @@ mod tests {
     fn deep_cascade_and_shallow_cascade_agree() {
         let problem = ProblemParams::new(14, 1);
         let input = pseudo(problem.total_elems());
-        let shallow = scan_sp(Add, SplkTuple::kepler_premises(0), &k80(), problem, &input).unwrap();
-        let deep = scan_sp(Add, SplkTuple::kepler_premises(3), &k80(), problem, &input).unwrap();
+        let shallow = run_sp(Add, SplkTuple::kepler_premises(0), problem, &input).unwrap();
+        let deep = run_sp(Add, SplkTuple::kepler_premises(3), problem, &input).unwrap();
         assert_eq!(shallow.data, deep.data, "K must not change results");
     }
 
@@ -151,8 +144,8 @@ mod tests {
         // fewer chunks, cheaper stage 2.
         let problem = ProblemParams::new(18, 0);
         let input = pseudo(problem.total_elems());
-        let t_small = scan_sp(Add, SplkTuple::kepler_premises(0), &k80(), problem, &input).unwrap();
-        let t_large = scan_sp(Add, SplkTuple::kepler_premises(4), &k80(), problem, &input).unwrap();
+        let t_small = run_sp(Add, SplkTuple::kepler_premises(0), problem, &input).unwrap();
+        let t_large = run_sp(Add, SplkTuple::kepler_premises(4), problem, &input).unwrap();
         let s2_small = t_small.report.timeline.seconds_with_prefix("stage2");
         let s2_large = t_large.report.timeline.seconds_with_prefix("stage2");
         assert!(s2_large < s2_small, "K=16 must shrink stage 2 vs K=1 ({s2_large} vs {s2_small})");
@@ -162,6 +155,6 @@ mod tests {
     fn problem_smaller_than_iteration_is_rejected() {
         let problem = ProblemParams::new(9, 0); // 512 < 1024
         let input = pseudo(512);
-        assert!(scan_sp(Add, SplkTuple::kepler_premises(0), &k80(), problem, &input).is_err());
+        assert!(run_sp(Add, SplkTuple::kepler_premises(0), problem, &input).is_err());
     }
 }

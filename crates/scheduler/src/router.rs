@@ -136,16 +136,12 @@ pub struct RouterConfig {
     /// Each shard's interconnect fabric (same meaning as
     /// [`ServeConfig::fabric`]).
     pub fabric: FabricPreset,
-    /// Step shards serially on the caller's thread instead of the scoped
-    /// worker pool — the retained reference engine the parallel stepping
-    /// is differentially pinned against (like
-    /// [`RouterConfig::reference_timings`] for the fleet scheduler).
-    /// Outputs are byte-identical either way.
-    pub serial_stepping: bool,
     /// Worker threads for parallel shard stepping; `0` = one per shard,
     /// capped at the host's available parallelism. Always capped at the
-    /// shard count; an effective count of 1 steps serially. Thread count
-    /// never changes any output byte.
+    /// shard count; an effective count of 1 steps serially on the caller's
+    /// thread — the reference engine the parallel stepping is
+    /// differentially pinned against. Thread count never changes any
+    /// output byte.
     pub threads: usize,
 }
 
@@ -168,7 +164,6 @@ impl RouterConfig {
             reference_timings: false,
             devices: Vec::new(),
             fabric: FabricPreset::Pcie,
-            serial_stepping: false,
             threads: 0,
         }
     }
@@ -288,14 +283,10 @@ impl Router {
         &self.config
     }
 
-    /// The worker count one window actually steps with: 1 under
-    /// [`RouterConfig::serial_stepping`], else the configured
+    /// The worker count one window actually steps with: the configured
     /// [`RouterConfig::threads`] (`0` = the host's available parallelism),
     /// capped at the shard count.
     fn effective_threads(&self) -> usize {
-        if self.config.serial_stepping {
-            return 1;
-        }
         let want = if self.config.threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
@@ -313,9 +304,8 @@ impl Router {
     /// runs on a scoped worker pool; every cross-shard interaction —
     /// routing, redirect spill, work stealing, SLO escalation, the clock
     /// advance — resolves serially at the barrier between ticks, in
-    /// shard-index order. Outputs are therefore byte-identical to
-    /// [`RouterConfig::serial_stepping`] by construction, whatever the
-    /// thread count.
+    /// shard-index order. Outputs are therefore byte-identical to serial
+    /// stepping (`threads: 1`) by construction, whatever the thread count.
     pub fn run(&self, requests: &[ServeRequest]) -> ScanResult<ShardedReport> {
         shard::check_sorted(requests)?;
         let states: Vec<Mutex<ShardState>> = (0..self.config.shards)
@@ -772,8 +762,8 @@ mod tests {
         let mut requests = small_workload(11, 8);
         requests.swap(2, 6);
         let mut config = RouterConfig::new(2, Policy::Fifo, 11);
-        for serial in [false, true] {
-            config.serial_stepping = serial;
+        for threads in [4, 1] {
+            config.threads = threads;
             let router = Router::new(config.clone()).unwrap();
             assert!(matches!(router.run(&requests), Err(ScanError::InvalidInput(_))));
         }

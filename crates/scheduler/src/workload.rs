@@ -9,6 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use scan_core::ProblemParams;
 use skeletons::{AffinePair, SegPair};
 
 use crate::json::Json;
@@ -375,6 +376,22 @@ pub fn requests_from_json(text: &str) -> Result<Vec<ServeRequest>, String> {
                 Some(d)
             }
         };
+        // Reject what would panic downstream: `ProblemParams` bounds the
+        // log2 sizes, and a lease must ask for at least one GPU.
+        let log2 = |key: &str| -> Result<u32, String> {
+            let v: u32 = narrow(id, key, int(key)?)?;
+            if v >= ProblemParams::LOG2_LIMIT {
+                return Err(format!(
+                    "request {id}: \"{key}\" {v} out of range (log2 sizes must be below {})",
+                    ProblemParams::LOG2_LIMIT
+                ));
+            }
+            Ok(v)
+        };
+        let gpus_wanted = opt_int("gpus")?.unwrap_or(1);
+        if gpus_wanted == 0 {
+            return Err(format!("request {id}: \"gpus\" 0 out of range (at least one GPU)"));
+        }
         let op = match entry.get("op") {
             None | Some(Json::Null) => OpKind::AddI32,
             Some(v) => {
@@ -387,9 +404,9 @@ pub fn requests_from_json(text: &str) -> Result<Vec<ServeRequest>, String> {
         out.push(ServeRequest {
             id,
             arrival,
-            n: narrow(id, "n", int("n")?)?,
-            g: narrow(id, "g", int("g")?)?,
-            gpus_wanted: opt_int("gpus")?.unwrap_or(1),
+            n: log2("n")?,
+            g: log2("g")?,
+            gpus_wanted,
             priority: narrow(id, "priority", opt_int("priority")?.unwrap_or(0))?,
             tenant: narrow(id, "tenant", opt_int("tenant")?.unwrap_or(0))?,
             deadline,
@@ -603,9 +620,19 @@ mod tests {
         let err = one(r#""n": 10, "g": 0, "deadline": -1"#).unwrap_err();
         assert!(err.contains("deadline") && err.contains("before arrival"), "{err}");
         assert!(one(r#""n": 10, "g": 0, "deadline": 0.25"#).is_err());
+        // Log2 sizes at `ProblemParams`'s bound would panic downstream.
+        let err = one(r#""n": 40, "g": 0"#).unwrap_err();
+        assert!(err.contains("\"n\"") && err.contains("out of range"), "{err}");
+        let err = one(r#""n": 10, "g": 40"#).unwrap_err();
+        assert!(err.contains("\"g\"") && err.contains("out of range"), "{err}");
+        // So would a lease of zero GPUs.
+        let err = one(r#""n": 10, "g": 0, "gpus": 0"#).unwrap_err();
+        assert!(err.contains("\"gpus\"") && err.contains("out of range"), "{err}");
         // The widest in-range values still load.
         let ok =
             one(r#""n": 10, "g": 0, "tenant": 255, "priority": 255, "deadline": 0.5"#).unwrap();
         assert_eq!((ok[0].tenant, ok[0].priority, ok[0].deadline), (255, 255, Some(0.5)));
+        let ok = one(r#""n": 39, "g": 39, "gpus": 1"#).unwrap();
+        assert_eq!((ok[0].n, ok[0].g, ok[0].gpus_wanted), (39, 39, 1));
     }
 }

@@ -8,13 +8,6 @@
 
 use multigpu_scan::prelude::*;
 use multigpu_scan::scan::Breakdown;
-use multigpu_scan::scan::{
-    scan_mppc_faulted, scan_mps_faulted, scan_mps_multinode_faulted, scan_sp_faulted,
-};
-
-fn device() -> DeviceSpec {
-    DeviceSpec::tesla_k80()
-}
 
 fn pseudo(n: usize, salt: u64) -> Vec<i32> {
     (0..n)
@@ -70,7 +63,6 @@ fn single_node_plans(seed: u64) -> Vec<(&'static str, FaultPlan)> {
 #[test]
 fn scan_sp_matrix_is_bit_identical_and_deterministic() {
     let problem = ProblemParams::new(13, 2);
-    let tuple = SplkTuple::kepler_premises(0);
     let input = pseudo(problem.total_elems(), 3);
     let expected = reference(&input, problem);
     for seed in seeds() {
@@ -79,8 +71,8 @@ fn scan_sp_matrix_is_bit_identical_and_deterministic() {
         for (name, plan) in
             [("none", FaultPlan::none()), ("throttled", FaultPlan::new(seed).throttle_gpu(0, 5.0))]
         {
-            let a = scan_sp_faulted(Add, tuple, &device(), problem, &input, &plan).unwrap();
-            let b = scan_sp_faulted(Add, tuple, &device(), problem, &input, &plan).unwrap();
+            let a = ScanRequest::new(Add, problem).faults(plan.clone()).run(&input).unwrap();
+            let b = ScanRequest::new(Add, problem).faults(plan.clone()).run(&input).unwrap();
             assert_eq!(a.data, expected, "seed {seed} plan {name}");
             assert_eq!(
                 a.report.makespan.to_bits(),
@@ -93,28 +85,21 @@ fn scan_sp_matrix_is_bit_identical_and_deterministic() {
 
 #[test]
 fn scan_mps_matrix_is_bit_identical_and_deterministic() {
-    let fabric = Fabric::tsubame_kfc(1);
     let problem = ProblemParams::new(13, 2);
     let cfg = NodeConfig::new(2, 2, 1, 1).unwrap();
-    let tuple = SplkTuple::kepler_premises(0);
     let policy = PipelinePolicy::batched_barrier(2);
     let input = pseudo(problem.total_elems(), 5);
     let expected = reference(&input, problem);
     for seed in seeds() {
         for (name, plan) in single_node_plans(seed) {
             let run = || {
-                scan_mps_faulted(
-                    Add,
-                    tuple,
-                    &device(),
-                    &fabric,
-                    cfg,
-                    problem,
-                    &input,
-                    &policy,
-                    &plan,
-                )
-                .unwrap()
+                ScanRequest::new(Add, problem)
+                    .proposal(Proposal::Mps)
+                    .devices(cfg)
+                    .pipeline(policy)
+                    .faults(plan.clone())
+                    .run(&input)
+                    .unwrap()
             };
             let a = run();
             let b = run();
@@ -135,10 +120,8 @@ fn scan_mps_matrix_is_bit_identical_and_deterministic() {
 
 #[test]
 fn scan_mppc_matrix_is_bit_identical_and_deterministic() {
-    let fabric = Fabric::tsubame_kfc(1);
     let problem = ProblemParams::new(13, 3);
     let cfg = NodeConfig::new(4, 2, 2, 1).unwrap();
-    let tuple = SplkTuple::kepler_premises(0);
     let policy = PipelinePolicy::barrier_synchronous();
     let input = pseudo(problem.total_elems(), 7);
     let expected = reference(&input, problem);
@@ -150,18 +133,13 @@ fn scan_mppc_matrix_is_bit_identical_and_deterministic() {
                 plan = FaultPlan::new(seed).evict_gpu(4, 0);
             }
             let run = || {
-                scan_mppc_faulted(
-                    Add,
-                    tuple,
-                    &device(),
-                    &fabric,
-                    cfg,
-                    problem,
-                    &input,
-                    &policy,
-                    &plan,
-                )
-                .unwrap()
+                ScanRequest::new(Add, problem)
+                    .proposal(Proposal::Mppc)
+                    .devices(cfg)
+                    .pipeline(policy)
+                    .faults(plan.clone())
+                    .run(&input)
+                    .unwrap()
             };
             let a = run();
             let b = run();
@@ -177,10 +155,8 @@ fn scan_mppc_matrix_is_bit_identical_and_deterministic() {
 
 #[test]
 fn scan_multinode_matrix_is_bit_identical_and_deterministic() {
-    let fabric = Fabric::tsubame_kfc(2);
     let problem = ProblemParams::new(14, 1);
     let cfg = NodeConfig::new(2, 2, 1, 2).unwrap();
-    let tuple = SplkTuple::kepler_premises(0);
     let input = pseudo(problem.total_elems(), 11);
     let expected = reference(&input, problem);
     let ib = multigpu_scan::fabric::Resource::ib(0, 1);
@@ -192,17 +168,12 @@ fn scan_multinode_matrix_is_bit_identical_and_deterministic() {
             ("throttled-gpu", FaultPlan::new(seed).throttle_gpu(8, 2.0)),
         ] {
             let run = || {
-                scan_mps_multinode_faulted(
-                    Add,
-                    tuple,
-                    &device(),
-                    &fabric,
-                    cfg,
-                    problem,
-                    &input,
-                    &plan,
-                )
-                .unwrap()
+                ScanRequest::new(Add, problem)
+                    .proposal(Proposal::MpsMultinode)
+                    .devices(cfg)
+                    .faults(plan.clone())
+                    .run(&input)
+                    .unwrap()
             };
             let a = run();
             let b = run();
@@ -223,36 +194,34 @@ fn scan_multinode_matrix_is_bit_identical_and_deterministic() {
 /// reproducibly, run to run.
 #[test]
 fn evicting_one_of_eight_gpus_mid_mps_meets_the_acceptance_criteria() {
-    let fabric = Fabric::tsubame_kfc(1);
     // Large problems (2^22 elements) keep the run memory-bound on the
     // GPUs, so losing devices genuinely costs wall-clock; on tiny problems
     // the smaller surviving group can win back its per-transfer latency
     // (the Fig. 9 W=8 collapse) and eviction would come out *cheaper*.
     let problem = ProblemParams::new(22, 2);
     let cfg = NodeConfig::new(8, 4, 2, 1).unwrap();
-    let tuple = SplkTuple::kepler_premises(0);
     let policy = PipelinePolicy::batched_barrier(4);
     let input = pseudo(problem.total_elems(), 13);
     let expected = reference(&input, problem);
 
     let plan = FaultPlan::new(0xC0FFEE).evict_gpu(3, 1);
     let run = || {
-        scan_mps_faulted(Add, tuple, &device(), &fabric, cfg, problem, &input, &policy, &plan)
+        ScanRequest::new(Add, problem)
+            .proposal(Proposal::Mps)
+            .devices(cfg)
+            .pipeline(policy)
+            .faults(plan.clone())
+            .run(&input)
             .unwrap()
     };
     let faulted = run();
-    let healthy = scan_mps_faulted(
-        Add,
-        tuple,
-        &device(),
-        &fabric,
-        cfg,
-        problem,
-        &input,
-        &policy,
-        &FaultPlan::none(),
-    )
-    .unwrap();
+    let healthy = ScanRequest::new(Add, problem)
+        .proposal(Proposal::Mps)
+        .devices(cfg)
+        .pipeline(policy)
+        .faults(FaultPlan::none())
+        .run(&input)
+        .unwrap();
 
     // (a) Bit-identical to the CPU reference (and hence to the fault-free
     // run, which satisfies the same check).

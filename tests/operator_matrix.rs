@@ -12,13 +12,6 @@
 
 use multigpu_scan::kernels::{reference_inclusive, AffinePair, GatedOp, Mul, Scannable};
 use multigpu_scan::prelude::*;
-use multigpu_scan::scan::{
-    scan_case1, scan_mppc, scan_mps, scan_mps_faulted, scan_mps_multinode, scan_sp,
-};
-
-fn device() -> DeviceSpec {
-    DeviceSpec::tesla_k80()
-}
 
 fn seeds() -> Vec<u64> {
     match std::env::var("FAULT_SEEDS") {
@@ -65,38 +58,46 @@ where
     T: Scannable + PartialEq + std::fmt::Debug,
     O: ScanOp<T>,
 {
-    let tuple = SplkTuple::kepler_premises(0);
-    let dev = device();
-
     // Sp — single GPU.
     let problem = ProblemParams::new(13, 2);
     let input = make_input(problem.total_elems(), 3);
-    let out = scan_sp(op, tuple, &dev, problem, &input).unwrap();
+    let out = ScanRequest::new(op, problem).run(&input).unwrap();
     assert_eq!(out.data, reference(op, &input, problem), "{label}: Sp");
 
     // Mps — 4 GPUs, one PCIe network.
-    let fabric = Fabric::tsubame_kfc(1);
     let cfg = NodeConfig::new(4, 4, 1, 1).unwrap();
-    let out = scan_mps(op, tuple, &dev, &fabric, cfg, problem, &input).unwrap();
+    let out =
+        ScanRequest::new(op, problem).proposal(Proposal::Mps).devices(cfg).run(&input).unwrap();
     assert_eq!(out.data, reference(op, &input, problem), "{label}: Mps");
 
     // Mppc — two networks in parallel.
     let problem_pc = ProblemParams::new(13, 3);
     let input_pc = make_input(problem_pc.total_elems(), 5);
     let cfg_pc = NodeConfig::new(4, 2, 2, 1).unwrap();
-    let out = scan_mppc(op, tuple, &dev, &fabric, cfg_pc, problem_pc, &input_pc).unwrap();
+    let out = ScanRequest::new(op, problem_pc)
+        .proposal(Proposal::Mppc)
+        .devices(cfg_pc)
+        .run(&input_pc)
+        .unwrap();
     assert_eq!(out.data, reference(op, &input_pc, problem_pc), "{label}: Mppc");
 
     // MpsMultinode — two nodes over InfiniBand.
-    let fabric2 = Fabric::tsubame_kfc(2);
     let problem_mn = ProblemParams::new(14, 1);
     let input_mn = make_input(problem_mn.total_elems(), 7);
     let cfg_mn = NodeConfig::new(2, 2, 1, 2).unwrap();
-    let out = scan_mps_multinode(op, tuple, &dev, &fabric2, cfg_mn, problem_mn, &input_mn).unwrap();
+    let out = ScanRequest::new(op, problem_mn)
+        .proposal(Proposal::MpsMultinode)
+        .devices(cfg_mn)
+        .run(&input_mn)
+        .unwrap();
     assert_eq!(out.data, reference(op, &input_mn, problem_mn), "{label}: MpsMultinode");
 
     // Case1 — G > W small-problem batching.
-    let out = scan_case1(op, tuple, &dev, &fabric, cfg, problem_pc, &input_pc).unwrap();
+    let out = ScanRequest::new(op, problem_pc)
+        .proposal(Proposal::Case1)
+        .devices(cfg)
+        .run(&input_pc)
+        .unwrap();
     assert_eq!(out.data, reference(op, &input_pc, problem_pc), "{label}: Case1");
 }
 
@@ -108,9 +109,6 @@ where
     T: Scannable + PartialEq + std::fmt::Debug,
     O: ScanOp<T>,
 {
-    let tuple = SplkTuple::kepler_premises(0);
-    let dev = device();
-    let fabric = Fabric::tsubame_kfc(1);
     let cfg = NodeConfig::new(4, 4, 1, 1).unwrap();
     let problem = ProblemParams::new(13, 2);
     let policy = PipelinePolicy::batched_barrier(2);
@@ -124,7 +122,12 @@ where
             ("evicted-gpu", FaultPlan::new(seed).evict_gpu(1, 0)),
         ] {
             let run = || {
-                scan_mps_faulted(op, tuple, &dev, &fabric, cfg, problem, &input, &policy, &plan)
+                ScanRequest::new(op, problem)
+                    .proposal(Proposal::Mps)
+                    .devices(cfg)
+                    .pipeline(policy)
+                    .faults(plan.clone())
+                    .run(&input)
                     .unwrap()
             };
             let a = run();
@@ -236,12 +239,14 @@ fn sharded_matrix_matches_single_loop() {
 /// `x[t] = gate[t]·x[t-1] + token[t]` exactly (integer arithmetic).
 #[test]
 fn gated_scan_on_gpus_solves_the_recurrence() {
-    let tuple = SplkTuple::kepler_premises(0);
-    let fabric = Fabric::tsubame_kfc(1);
     let cfg = NodeConfig::new(4, 4, 1, 1).unwrap();
     let problem = ProblemParams::new(12, 0);
     let input = pseudo_affine(problem.total_elems(), 13);
-    let out = scan_mps(GatedOp, tuple, &device(), &fabric, cfg, problem, &input).unwrap();
+    let out = ScanRequest::new(GatedOp, problem)
+        .proposal(Proposal::Mps)
+        .devices(cfg)
+        .run(&input)
+        .unwrap();
     let mut x = 0i64;
     for (t, p) in input.iter().enumerate() {
         x = p.a.wrapping_mul(x).wrapping_add(p.b);
