@@ -14,9 +14,9 @@ use interconnect::{ExecGraph, Fabric};
 use skeletons::{ScanOp, Scannable, SplkTuple};
 
 use crate::error::{ScanError, ScanResult};
-use crate::exec::{build_pipeline_graph, PipelinePolicy, PipelineRun};
+use crate::exec::{build_pipeline_graph, PipelinePolicy};
 use crate::params::{NodeConfig, ProblemParams, ScanKind};
-use crate::report::{RunReport, ScanOutput};
+use crate::report::ScanOutput;
 
 /// Batch inclusive scan with one-problem-set-per-GPU distribution — the
 /// body behind [`crate::Proposal::Case1`].
@@ -56,12 +56,14 @@ pub(crate) fn scan_case1<T: Scannable, O: ScanOp<T>>(
     // builds its own subgraph, and the merged graph's schedule overlaps
     // them (with identical shares, the makespan equals the phase-wise
     // maximum the old model reported).
-    let mut merged: Option<ExecGraph> = None;
+    let mut graph = ExecGraph::new();
     let policy = PipelinePolicy::default();
     for (i, &gid) in gpus.iter().enumerate() {
         let start = i * per_gpu * n;
         let end = start + per_gpu * n;
-        let graph = build_pipeline_graph(
+        let mut gpu_graph = ExecGraph::new();
+        build_pipeline_graph(
+            &mut gpu_graph,
             op,
             tuple,
             device,
@@ -72,25 +74,18 @@ pub(crate) fn scan_case1<T: Scannable, O: ScanOp<T>>(
             &input[start..end],
             ScanKind::Inclusive,
             &policy,
+            None,
             &mut data[start..end],
         )?;
-        match merged.as_mut() {
-            None => merged = Some(graph),
-            Some(g) => {
-                g.merge(graph);
-            }
-        }
+        graph.merge(gpu_graph);
     }
-    let graph = merged.expect("at least one GPU");
-
-    Ok(ScanOutput::new(
+    ScanOutput::from_graph(
+        format!("Scan-Case1 {} GPUs", gpus.len()),
+        problem.total_elems(),
         data,
-        RunReport::from_run(
-            format!("Scan-Case1 {} GPUs", gpus.len()),
-            problem.total_elems(),
-            PipelineRun::from_graph(graph),
-        ),
-    ))
+        graph,
+        None,
+    )
 }
 
 #[cfg(test)]

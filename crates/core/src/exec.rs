@@ -15,13 +15,19 @@
 //!   overlap Stage-1 compute of the next. This is a capability *beyond*
 //!   the paper's model and is off by default (see DESIGN.md §2).
 
-use gpu_sim::{DeviceSpec, EventKind};
-use interconnect::{ExecGraph, Fabric, FaultPlan, NodeId, NodeMeta, Resource, Timeline};
+use std::borrow::Cow;
+
+use gpu_sim::{DeviceSpec, EventKind, SimError};
+use interconnect::{
+    ExecGraph, Fabric, FaultEvent, FaultPlan, NodeId, NodeMeta, Resource, Timeline,
+};
 use skeletons::{ScanOp, Scannable, SplkTuple};
 
 use crate::error::{ScanError, ScanResult};
+use crate::fault::{largest_pow2, throttle_workers, Injection};
 use crate::multi_gpu::{
-    assemble_output, build_workers, gather_aux, parallel_phase_counted, scatter_offsets, Worker,
+    assemble_output, build_workers, gather_aux, parallel_phase_counted, parallel_phase_results,
+    scatter_offsets, Worker,
 };
 use crate::params::{ProblemParams, ScanKind};
 use crate::plan::ExecutionPlan;
@@ -94,7 +100,7 @@ impl PipelineRun {
 
 /// Largest power of two ≤ `requested`, clamped to `[1, batch]` (`batch` is
 /// itself a power of two, so the result always divides it).
-pub(crate) fn effective_batches(requested: usize, batch: usize) -> usize {
+fn effective_batches(requested: usize, batch: usize) -> usize {
     let b = requested.clamp(1, batch);
     let mut p = 1;
     while p * 2 <= b {
@@ -122,8 +128,8 @@ pub(crate) fn collective_links<T: Scannable>(
 }
 
 /// Run the three-stage pipeline over one GPU group, appending its
-/// operations to a fresh [`ExecGraph`] and writing the scanned batch into
-/// `out` (which must hold `problem.total_elems()` elements).
+/// operations to `graph` and writing the scanned batch into `out` (which
+/// must hold `problem.total_elems()` elements).
 ///
 /// Each sub-batch contributes five phase instances —
 /// `stage1:chunk-reduce`, `comm:gather-aux`, `stage2:intermediate-scan`,
@@ -132,8 +138,17 @@ pub(crate) fn collective_links<T: Scannable>(
 /// Standalone runs use stream 0; the serving layer passes each lease's
 /// private stream id (see `gpu_sim::StreamNamespace`) so concurrent
 /// requests sharing a GPU stay distinguishable in the fleet schedule.
+///
+/// Under a fault plan (`faults`), the group's GPUs run with the plan's SM
+/// throttles, and an eviction is handled at the first sub-batch at or past
+/// its `at_sub_batch` (clamped to the last sub-batch): the doomed attempt
+/// is aborted, the distribution is replanned over the largest power-of-two
+/// subset of the survivors, and the sub-batch reruns under `recovery:`
+/// phases. Evicting the group's last GPU is a planning error, not a panic.
+/// Without a plan none of this runs.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_pipeline_graph<T: Scannable, O: ScanOp<T>>(
+    graph: &mut ExecGraph,
     op: O,
     tuple: SplkTuple,
     device: &DeviceSpec,
@@ -144,8 +159,9 @@ pub(crate) fn build_pipeline_graph<T: Scannable, O: ScanOp<T>>(
     input: &[T],
     kind: ScanKind,
     policy: &PipelinePolicy,
+    mut faults: Option<&mut Injection>,
     out: &mut [T],
-) -> ScanResult<ExecGraph> {
+) -> ScanResult<()> {
     if input.len() != problem.total_elems() {
         return Err(ScanError::InvalidInput(format!(
             "input holds {} elements but G·N = {}",
@@ -158,7 +174,8 @@ pub(crate) fn build_pipeline_graph<T: Scannable, O: ScanOp<T>>(
     let sub_problem = ProblemParams::new(problem.n(), sub_batch.trailing_zeros());
     let n = problem.problem_size();
 
-    let mut graph = ExecGraph::new();
+    // The GPUs the group still runs on; evictions shrink it for good.
+    let mut active = Cow::Borrowed(gpu_ids);
     // In barrier mode, every node of a phase instance depends on all nodes
     // of the previous instance (within and across sub-batches); in overlap
     // mode only the structural deps below remain.
@@ -167,25 +184,121 @@ pub(crate) fn build_pipeline_graph<T: Scannable, O: ScanOp<T>>(
     for b in 0..batches {
         let lo = b * sub_batch * n;
         let hi = lo + sub_batch * n;
-        let barrier_deps = if policy.overlap { Vec::new() } else { prev_phase.clone() };
+        let mut deps = if policy.overlap { Vec::new() } else { prev_phase };
+        let mut prefix = "";
+        if let Some(injection) = faults.as_deref_mut() {
+            let victims = injection.victims(b, batches, &active);
+            if !victims.is_empty() {
+                deps = abort_and_replan(
+                    graph,
+                    op,
+                    tuple,
+                    device,
+                    stream,
+                    sub_problem,
+                    &input[lo..hi],
+                    b,
+                    &victims,
+                    &mut active,
+                    injection,
+                    deps,
+                )?;
+                prefix = "recovery:";
+            }
+        }
         prev_phase = append_sub_batch(
-            &mut graph,
+            graph,
             op,
             tuple,
             device,
             fabric,
-            gpu_ids,
+            &active,
             stream,
             sub_problem,
             &input[lo..hi],
             kind,
-            &barrier_deps,
-            "",
-            None,
+            &deps,
+            prefix,
+            faults.as_deref().map(|f| f.plan),
             &mut out[lo..hi],
         )?;
     }
-    Ok(graph)
+    Ok(())
+}
+
+/// The eviction step of sub-batch `b`: record the evictions, abort the
+/// doomed attempt, and replan `active` over the survivors. Returns the
+/// dependencies the `recovery:` rerun waits on.
+#[allow(clippy::too_many_arguments)]
+fn abort_and_replan<T: Scannable, O: ScanOp<T>>(
+    graph: &mut ExecGraph,
+    op: O,
+    tuple: SplkTuple,
+    device: &DeviceSpec,
+    stream: usize,
+    sub_problem: ProblemParams,
+    sub_input: &[T],
+    b: usize,
+    victims: &[usize],
+    active: &mut Cow<[usize]>,
+    injection: &mut Injection,
+    barrier_deps: Vec<NodeId>,
+) -> ScanResult<Vec<NodeId>> {
+    for &gpu in victims {
+        injection.report.push(FaultEvent::GpuEvicted { gpu, at_sub_batch: b });
+    }
+
+    // --- Abort: the sub-batch starts on the full distribution. The
+    // victims' Stage-1 launches fail with DeviceLost; the survivors finish
+    // their chunk reductions, but those results cover the wrong portions
+    // now and are thrown away — their time still lands on the schedule as
+    // wasted `recovery:` work.
+    let plan = ExecutionPlan::new(sub_problem, tuple, active.len())?;
+    let mut workers = build_workers(device, &plan, active, sub_input)?;
+    throttle_workers(injection.plan, &mut workers);
+    for w in &mut workers {
+        if victims.contains(&w.global_id) {
+            w.gpu.evict();
+        }
+    }
+    let results = parallel_phase_results(&mut workers, |w| {
+        run_stage1(&mut w.gpu, &plan, op, &w.input, &mut w.aux)
+    });
+    let p = graph.phase("recovery:aborted-stage1");
+    let mut abort_nodes: Vec<NodeId> = Vec::new();
+    for (w, res) in workers.iter().zip(results) {
+        match res {
+            Ok(secs) => abort_nodes.push(graph.add(
+                p,
+                "recovery:aborted-stage1",
+                EventKind::Kernel,
+                secs,
+                &barrier_deps,
+                &[Resource::Stream { gpu: w.global_id, stream }],
+            )),
+            Err(SimError::DeviceLost { .. }) if victims.contains(&w.global_id) => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+
+    // --- Replan: re-derive the Eq. 2/3 portions over the largest
+    // power-of-two subset of the survivors.
+    let mut survivors: Vec<usize> =
+        active.iter().copied().filter(|g| !victims.contains(g)).collect();
+    if survivors.is_empty() {
+        return Err(ScanError::InvalidConfig(format!(
+            "cannot replan sub-batch {b}: evicting GPU(s) {victims:?} removes the last GPU of \
+             the group, leaving no survivors to redistribute the portions over"
+        )));
+    }
+    survivors.truncate(largest_pow2(survivors.len()));
+    injection.report.push(FaultEvent::Replanned {
+        from_gpus: active.to_vec(),
+        to_gpus: survivors.clone(),
+        sub_batch: b,
+    });
+    *active = Cow::Owned(survivors);
+    Ok(if abort_nodes.is_empty() { barrier_deps } else { abort_nodes })
 }
 
 /// Append one sub-batch's five phase instances to `graph` and write its
@@ -194,14 +307,14 @@ pub(crate) fn build_pipeline_graph<T: Scannable, O: ScanOp<T>>(
 /// dependencies).
 ///
 /// `phase_prefix` is prepended to every phase and node label — the
-/// degraded-mode replanner reruns an aborted sub-batch under a
-/// `"recovery:"` prefix so the extra work shows up as its own rows in the
-/// Fig. 14-style breakdown. `fault_plan` carries the per-GPU SM throttles
-/// of a fault-injection run (link-level faults are applied to the finished
-/// graph by `interconnect::apply_link_faults`, so they re-price each
-/// transfer exactly once).
+/// eviction step of [`build_pipeline_graph`] reruns an aborted sub-batch
+/// under a `"recovery:"` prefix so the extra work shows up as its own rows
+/// in the Fig. 14-style breakdown. `fault_plan` carries the per-GPU SM
+/// throttles of a fault-injection run (link-level faults are applied to the
+/// finished graph by `interconnect::apply_link_faults`, so they re-price
+/// each transfer exactly once).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn append_sub_batch<T: Scannable, O: ScanOp<T>>(
+fn append_sub_batch<T: Scannable, O: ScanOp<T>>(
     graph: &mut ExecGraph,
     op: O,
     tuple: SplkTuple,
@@ -220,12 +333,7 @@ pub(crate) fn append_sub_batch<T: Scannable, O: ScanOp<T>>(
     let plan = ExecutionPlan::new(sub_problem, tuple, gpu_ids.len())?;
     let mut workers = build_workers(device, &plan, gpu_ids, sub_input)?;
     if let Some(fp) = fault_plan {
-        for w in &mut workers {
-            let factor = fp.throttle_of(w.global_id);
-            if factor > 1.0 {
-                w.gpu.set_sm_throttle(factor);
-            }
-        }
+        throttle_workers(fp, &mut workers);
     }
     let stream = |w: &Worker<T>| Resource::Stream { gpu: w.global_id, stream };
     let links = collective_links(fabric, &workers);
@@ -353,7 +461,9 @@ mod tests {
         let input = pseudo(problem.total_elems());
         let fabric = Fabric::tsubame_kfc(1);
         let mut out = vec![0i32; problem.total_elems()];
-        let graph = build_pipeline_graph(
+        let mut graph = ExecGraph::new();
+        build_pipeline_graph(
+            &mut graph,
             Add,
             SplkTuple::kepler_premises(0),
             &gpu_sim::DeviceSpec::tesla_k80(),
@@ -364,6 +474,7 @@ mod tests {
             &input,
             ScanKind::Inclusive,
             &PipelinePolicy::pipelined(4),
+            None,
             &mut out,
         )
         .unwrap();
@@ -390,7 +501,9 @@ mod tests {
         let tuple = SplkTuple::kepler_premises(0);
         let run_with = |policy: &PipelinePolicy| {
             let mut out = vec![0i32; problem.total_elems()];
-            let graph = build_pipeline_graph(
+            let mut graph = ExecGraph::new();
+            build_pipeline_graph(
+                &mut graph,
                 Add,
                 tuple,
                 &device,
@@ -401,6 +514,7 @@ mod tests {
                 &input,
                 ScanKind::Inclusive,
                 policy,
+                None,
                 &mut out,
             )
             .unwrap();

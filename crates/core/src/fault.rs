@@ -1,8 +1,8 @@
-//! Fault-injected scan runs with degraded-mode replanning.
+//! Fault injection with degraded-mode replanning.
 //!
-//! The faulted bodies mirror the healthy proposals — `ScanRequest::faults`
-//! routes Sp, Mps, Mppc and MpsMultinode here — but execute under a seeded
-//! [`FaultPlan`]:
+//! Each proposal has one builder, with an optional plan:
+//! `ScanRequest::faults` hands the proposal's builder a seeded
+//! [`FaultPlan`], and a run without one does none of the fault work.
 //!
 //! * **SM throttles** slow the affected GPU's kernels (applied by the
 //!   `gpu-sim` layer, so the throttled durations flow into the execution
@@ -10,34 +10,26 @@
 //! * **link faults** (degradation, transient failures with retry/backoff,
 //!   permanent loss) re-price the finished graph's transfers through
 //!   [`interconnect::apply_link_faults`];
-//! * **device evictions** trigger **degraded-mode replanning**: the doomed
-//!   sub-batch is aborted (the victim's launch fails with `DeviceLost`,
-//!   survivors' Stage-1 work is wasted), the planner re-derives the Eq. 2/3
-//!   portions over the surviving GPUs, and the sub-batch is rerun under
-//!   `recovery:`-prefixed phases so the extra work appears as its own rows
-//!   in the Fig. 14-style breakdown. Later sub-batches stay on the
-//!   survivors — the device is gone for good.
+//! * **device evictions** trigger **degraded-mode replanning** inside
+//!   `exec::build_pipeline_graph`: the doomed sub-batch is aborted (the
+//!   victim's launch fails with `DeviceLost`, survivors' Stage-1 work is
+//!   wasted), the planner re-derives the Eq. 2/3 portions over the
+//!   surviving GPUs, and the sub-batch is rerun under `recovery:`-prefixed
+//!   phases so the extra work appears as its own rows in the Fig. 14-style
+//!   breakdown. Later sub-batches stay on the survivors — the device is
+//!   gone for good.
 //!
 //! Faults change *timing and scheduling only, never data*: every faulted
 //! run's output is bit-identical to the fault-free scan (the differential
 //! harness in `tests/fault_differential.rs` asserts this across a matrix of
 //! seeds, plans and proposals). A [`FaultReport`] records what was
-//! injected, what retried and what was replanned.
+//! injected, what retried and what was replanned. This module holds the
+//! fault-specific helpers the builders share.
 
-use gpu_sim::{DeviceSpec, EventKind, SimError};
-use interconnect::{
-    apply_link_faults, ExecGraph, Fabric, FaultEvent, FaultPlan, FaultReport, NodeId, Resource,
-};
-use skeletons::{ScanOp, Scannable, SplkTuple};
+use interconnect::{FaultEvent, FaultPlan, FaultReport};
+use skeletons::Scannable;
 
-use crate::error::{ScanError, ScanResult};
-use crate::exec::{append_sub_batch, effective_batches, PipelinePolicy, PipelineRun};
-use crate::multi_gpu::{build_workers, parallel_phase_results};
-use crate::multinode::build_multinode_graph;
-use crate::params::{NodeConfig, ProblemParams, ScanKind};
-use crate::plan::ExecutionPlan;
-use crate::report::{RunReport, ScanOutput};
-use crate::stage1::run_stage1;
+use crate::multi_gpu::Worker;
 
 /// Largest power of two ≤ `n` (0 maps to 0). Shared with the lease
 /// planner, whose partial-lease rule is the same largest-feasible-subset
@@ -50,396 +42,63 @@ pub(crate) fn largest_pow2(n: usize) -> usize {
     }
 }
 
-/// Record one `GpuThrottled` event per plan entry that names a GPU this
-/// run actually uses.
-fn record_throttles(plan: &FaultPlan, gpu_ids: &[usize], report: &mut FaultReport) {
-    for &(gpu, factor) in plan.throttles() {
-        if gpu_ids.contains(&gpu) {
-            report.push(FaultEvent::GpuThrottled { gpu, factor });
-        }
-    }
+/// One run under a fault plan: the plan, and the report of what it did.
+pub(crate) struct Injection<'a> {
+    pub(crate) plan: &'a FaultPlan,
+    pub(crate) report: FaultReport,
 }
 
-/// Apply the plan's link faults to the finished graph and package the
-/// run's outputs.
-fn finish<T>(
-    label: String,
-    elements: usize,
-    data: Vec<T>,
-    graph: ExecGraph,
-    plan: &FaultPlan,
-    mut faults: FaultReport,
-) -> ScanResult<ScanOutput<T>> {
-    let graph = apply_link_faults(&graph, plan, &mut faults)?;
-    let run = PipelineRun::from_graph(graph);
-    Ok(ScanOutput {
-        data,
-        report: RunReport::from_run(label, elements, run),
-        faults: Some(faults),
-        trace: None,
-    })
-}
-
-/// Run one GPU group's pipeline under the fault plan, appending into a
-/// shared graph (groups of an MP-PC run call this once each and overlap on
-/// their disjoint streams).
-///
-/// Handles evictions: at the first sub-batch at or past an eviction's
-/// `at_sub_batch` (clamped to the last sub-batch) the doomed attempt is
-/// aborted, the distribution is replanned over the largest power-of-two
-/// subset of the survivors, and the sub-batch reruns under `recovery:`
-/// phases. Evicting the group's last GPU is a planning error, not a panic.
-#[allow(clippy::too_many_arguments)]
-fn faulted_group_pipeline<T: Scannable, O: ScanOp<T>>(
-    graph: &mut ExecGraph,
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
-    gpu_ids: &[usize],
-    problem: ProblemParams,
-    input: &[T],
-    kind: ScanKind,
-    policy: &PipelinePolicy,
-    fault_plan: &FaultPlan,
-    report: &mut FaultReport,
-    out: &mut [T],
-) -> ScanResult<()> {
-    if input.len() != problem.total_elems() {
-        return Err(ScanError::InvalidInput(format!(
-            "input holds {} elements but G·N = {}",
-            input.len(),
-            problem.total_elems()
-        )));
-    }
-    let batches = effective_batches(policy.batches, problem.batch());
-    let sub_batch = problem.batch() / batches;
-    let sub_problem = ProblemParams::new(problem.n(), sub_batch.trailing_zeros());
-    let n = problem.problem_size();
-
-    let mut active: Vec<usize> = gpu_ids.to_vec();
-    let mut prev_phase: Vec<NodeId> = Vec::new();
-
-    for b in 0..batches {
-        let lo = b * sub_batch * n;
-        let hi = lo + sub_batch * n;
-        let barrier_deps = if policy.overlap { Vec::new() } else { prev_phase.clone() };
-
-        // Evictions scheduled for this sub-batch, restricted to GPUs this
-        // group still runs on (an eviction past the end of the batch fires
-        // at the last sub-batch rather than silently never).
-        let victims: Vec<usize> = fault_plan
-            .evictions()
-            .iter()
-            .filter(|e| e.at_sub_batch.min(batches - 1) == b && active.contains(&e.gpu))
-            .map(|e| e.gpu)
-            .collect();
-
-        if victims.is_empty() {
-            prev_phase = append_sub_batch(
-                graph,
-                op,
-                tuple,
-                device,
-                fabric,
-                &active,
-                0,
-                sub_problem,
-                &input[lo..hi],
-                kind,
-                &barrier_deps,
-                "",
-                Some(fault_plan),
-                &mut out[lo..hi],
-            )?;
-            continue;
-        }
-        for &gpu in &victims {
-            report.push(FaultEvent::GpuEvicted { gpu, at_sub_batch: b });
-        }
-
-        // --- Abort: the sub-batch starts on the full distribution. The
-        // victims' Stage-1 launches fail with DeviceLost; the survivors
-        // finish their chunk reductions, but those results cover the wrong
-        // portions now and are thrown away — their time still lands on the
-        // schedule as wasted `recovery:` work.
-        let plan = ExecutionPlan::new(sub_problem, tuple, active.len())?;
-        let mut workers = build_workers(device, &plan, &active, &input[lo..hi])?;
-        for w in &mut workers {
-            let factor = fault_plan.throttle_of(w.global_id);
-            if factor > 1.0 {
-                w.gpu.set_sm_throttle(factor);
-            }
-            if victims.contains(&w.global_id) {
-                w.gpu.evict();
+impl<'a> Injection<'a> {
+    /// Start a run under `plan` on `gpus`, the GPUs the run actually uses:
+    /// records one `GpuThrottled` event per plan entry that names one of
+    /// them.
+    pub(crate) fn start(plan: &'a FaultPlan, gpus: &[usize]) -> Self {
+        let mut report = FaultReport::new(plan);
+        for &(gpu, factor) in plan.throttles() {
+            if gpus.contains(&gpu) {
+                report.push(FaultEvent::GpuThrottled { gpu, factor });
             }
         }
-        let results = parallel_phase_results(&mut workers, |w| {
-            run_stage1(&mut w.gpu, &plan, op, &w.input, &mut w.aux)
-        });
-        let p = graph.phase("recovery:aborted-stage1");
-        let mut abort_nodes: Vec<NodeId> = Vec::new();
-        for (w, res) in workers.iter().zip(results) {
-            match res {
-                Ok(secs) => abort_nodes.push(graph.add(
-                    p,
-                    "recovery:aborted-stage1",
-                    EventKind::Kernel,
-                    secs,
-                    &barrier_deps,
-                    &[Resource::Stream { gpu: w.global_id, stream: 0 }],
-                )),
-                Err(SimError::DeviceLost { .. }) if victims.contains(&w.global_id) => {}
-                Err(e) => return Err(e.into()),
+        Injection { plan, report }
+    }
+
+    /// The GPUs of `active` the plan evicts at sub-batch `b` of `batches`,
+    /// each listed once. An eviction past the end of the batch fires at
+    /// the last sub-batch rather than silently never.
+    pub(crate) fn victims(&self, b: usize, batches: usize, active: &[usize]) -> Vec<usize> {
+        let mut victims = Vec::new();
+        for e in self.plan.evictions() {
+            if e.at_sub_batch.min(batches - 1) == b
+                && active.contains(&e.gpu)
+                && !victims.contains(&e.gpu)
+            {
+                victims.push(e.gpu);
             }
         }
+        victims
+    }
+}
 
-        // --- Replan: re-derive the Eq. 2/3 portions over the largest
-        // power-of-two subset of the survivors and rerun the sub-batch.
-        let survivors: Vec<usize> =
-            active.iter().copied().filter(|g| !victims.contains(g)).collect();
-        if survivors.is_empty() {
-            return Err(ScanError::InvalidConfig(format!(
-                "cannot replan sub-batch {b}: evicting GPU(s) {victims:?} removes the last GPU \
-                 of the group, leaving no survivors to redistribute the portions over"
-            )));
+/// Slow each worker's GPU by the plan's SM throttle for it.
+pub(crate) fn throttle_workers<T: Scannable>(plan: &FaultPlan, workers: &mut [Worker<T>]) {
+    for w in workers {
+        let factor = plan.throttle_of(w.global_id);
+        if factor > 1.0 {
+            w.gpu.set_sm_throttle(factor);
         }
-        let survivors = survivors[..largest_pow2(survivors.len())].to_vec();
-        report.push(FaultEvent::Replanned {
-            from_gpus: active.clone(),
-            to_gpus: survivors.clone(),
-            sub_batch: b,
-        });
-        let recovery_deps = if abort_nodes.is_empty() { barrier_deps } else { abort_nodes };
-        prev_phase = append_sub_batch(
-            graph,
-            op,
-            tuple,
-            device,
-            fabric,
-            &survivors,
-            0,
-            sub_problem,
-            &input[lo..hi],
-            kind,
-            &recovery_deps,
-            "recovery:",
-            Some(fault_plan),
-            &mut out[lo..hi],
-        )?;
-        active = survivors;
     }
-    Ok(())
-}
-
-/// Fault-injected Scan-SP: the single-GPU batch pipeline under a
-/// [`FaultPlan`].
-///
-/// A single GPU has no links, so only SM throttles apply — and evicting
-/// GPU 0 is always "evicting the last GPU", surfaced as
-/// [`ScanError::InvalidConfig`].
-pub(crate) fn scan_sp_faulted<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    problem: ProblemParams,
-    input: &[T],
-    fault_plan: &FaultPlan,
-) -> ScanResult<ScanOutput<T>> {
-    let fabric = Fabric::new(interconnect::Topology::single_gpu(), Default::default());
-    let mut faults = FaultReport::new(fault_plan);
-    record_throttles(fault_plan, &[0], &mut faults);
-    let mut data = vec![T::default(); problem.total_elems()];
-    let mut graph = ExecGraph::new();
-    faulted_group_pipeline(
-        &mut graph,
-        op,
-        tuple,
-        device,
-        &fabric,
-        &[0],
-        problem,
-        input,
-        ScanKind::Inclusive,
-        &PipelinePolicy::barrier_synchronous(),
-        fault_plan,
-        &mut faults,
-        &mut data,
-    )?;
-    finish("Scan-SP [faulted]".into(), problem.total_elems(), data, graph, fault_plan, faults)
-}
-
-/// Fault-injected Scan-MPS (single node) with degraded-mode replanning.
-///
-/// `policy` controls the sub-batch split exactly as in the healthy
-/// Scan-MPS; an eviction aborts the sub-batch it lands on and replans the
-/// remaining work over the survivors.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_mps_faulted<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
-    cfg: NodeConfig,
-    problem: ProblemParams,
-    input: &[T],
-    policy: &PipelinePolicy,
-    fault_plan: &FaultPlan,
-) -> ScanResult<ScanOutput<T>> {
-    if cfg.m() != 1 {
-        return Err(ScanError::InvalidConfig(
-            "Mps is the single-node proposal; use MpsMultinode for M > 1".into(),
-        ));
-    }
-    cfg.validate_against(fabric.topology())?;
-    let gpu_ids = cfg.selected_gpus(fabric.topology());
-    let mut faults = FaultReport::new(fault_plan);
-    record_throttles(fault_plan, &gpu_ids, &mut faults);
-    let mut data = vec![T::default(); problem.total_elems()];
-    let mut graph = ExecGraph::new();
-    faulted_group_pipeline(
-        &mut graph,
-        op,
-        tuple,
-        device,
-        fabric,
-        &gpu_ids,
-        problem,
-        input,
-        ScanKind::Inclusive,
-        policy,
-        fault_plan,
-        &mut faults,
-        &mut data,
-    )?;
-    finish(
-        format!("Scan-MPS W={} V={} Y={} [faulted]", cfg.w(), cfg.v(), cfg.y()),
-        problem.total_elems(),
-        data,
-        graph,
-        fault_plan,
-        faults,
-    )
-}
-
-/// Fault-injected Scan-MP-PC: each network group runs under the plan, and
-/// an eviction replans only the group that lost the device.
-///
-/// Unlike the healthy Scan-MP-PC, the group subgraphs are appended
-/// sequentially into one shared graph instead of being merged by phase
-/// index — a replanned group grows extra `recovery:` phases that
-/// index-matching could not align. Groups still share no stream or link,
-/// so the schedule overlaps them fully either way.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_mppc_faulted<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
-    cfg: NodeConfig,
-    problem: ProblemParams,
-    input: &[T],
-    policy: &PipelinePolicy,
-    fault_plan: &FaultPlan,
-) -> ScanResult<ScanOutput<T>> {
-    cfg.validate_against(fabric.topology())?;
-    if input.len() != problem.total_elems() {
-        return Err(ScanError::InvalidInput(format!(
-            "input holds {} elements but G·N = {}",
-            input.len(),
-            problem.total_elems()
-        )));
-    }
-    let groups_available = cfg.m() * cfg.y();
-    let groups = groups_available.min(problem.batch());
-    let problems_per_group = problem.batch() / groups;
-    let group_problem = ProblemParams::new(problem.n(), problems_per_group.trailing_zeros());
-    let n = problem.problem_size();
-
-    let mut faults = FaultReport::new(fault_plan);
-    record_throttles(fault_plan, &cfg.selected_gpus(fabric.topology()), &mut faults);
-    let mut data = vec![T::default(); problem.total_elems()];
-    let mut graph = ExecGraph::new();
-    for (group, out_chunk) in data.chunks_mut(problems_per_group * n).enumerate() {
-        let node = group / cfg.y();
-        let network = group % cfg.y();
-        let gpu_ids: Vec<usize> =
-            (0..cfg.v()).map(|slot| fabric.topology().gpu_at(node, network, slot)).collect();
-        let start = group * problems_per_group * n;
-        faulted_group_pipeline(
-            &mut graph,
-            op,
-            tuple,
-            device,
-            fabric,
-            &gpu_ids,
-            group_problem,
-            &input[start..start + problems_per_group * n],
-            ScanKind::Inclusive,
-            policy,
-            fault_plan,
-            &mut faults,
-            out_chunk,
-        )?;
-    }
-
-    let plural = if groups == 1 { "group" } else { "groups" };
-    finish(
-        format!(
-            "Scan-MP-PC W={} V={} Y={} M={} ({groups} {plural}) [faulted]",
-            cfg.w(),
-            cfg.v(),
-            cfg.y(),
-            cfg.m()
-        ),
-        problem.total_elems(),
-        data,
-        graph,
-        fault_plan,
-        faults,
-    )
-}
-
-/// Fault-injected multi-node Scan-MPS: SM throttles and link faults
-/// (including InfiniBand degradation and loss) apply; device evictions are
-/// rejected — there is no replanning protocol across MPI ranks, so an
-/// eviction plan is an invalid configuration rather than a panic.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_mps_multinode_faulted<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
-    cfg: NodeConfig,
-    problem: ProblemParams,
-    input: &[T],
-    fault_plan: &FaultPlan,
-) -> ScanResult<ScanOutput<T>> {
-    if !fault_plan.evictions().is_empty() {
-        return Err(ScanError::InvalidConfig(
-            "device eviction is not supported for the multi-node proposal: MPI ranks cannot \
-             replan a lost peer's portion; restrict the fault plan to link faults and throttles"
-                .into(),
-        ));
-    }
-    let mut faults = FaultReport::new(fault_plan);
-    record_throttles(fault_plan, &cfg.selected_gpus(fabric.topology()), &mut faults);
-    let (data, graph) =
-        build_multinode_graph(op, tuple, device, fabric, cfg, problem, input, Some(fault_plan))?;
-    finish(
-        format!("Scan-MPS multi-node M={} W={} [faulted]", cfg.m(), cfg.w()),
-        problem.total_elems(),
-        data,
-        graph,
-        fault_plan,
-        faults,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skeletons::{reference_inclusive, Add};
+    use gpu_sim::DeviceSpec;
+    use interconnect::{Fabric, Resource};
+    use skeletons::{reference_inclusive, Add, SplkTuple};
+
+    use crate::error::ScanError;
+    use crate::exec::PipelinePolicy;
+    use crate::params::{NodeConfig, ProblemParams, ScanKind};
 
     fn pseudo(n: usize) -> Vec<i32> {
         (0..n).map(|i| ((i as i64 * 69069 + 5) % 199) as i32 - 99).collect()
@@ -467,43 +126,12 @@ mod tests {
     }
 
     #[test]
-    fn empty_plan_matches_healthy_mps_bit_for_bit() {
-        let fabric = Fabric::tsubame_kfc(1);
-        let problem = ProblemParams::new(13, 2);
-        let input = pseudo(problem.total_elems());
-        let cfg = NodeConfig::new(2, 2, 1, 1).unwrap();
-        let tuple = SplkTuple::kepler_premises(0);
-        let healthy = crate::mps::scan_mps(
-            Add,
-            tuple,
-            &k80(),
-            &fabric,
-            cfg,
-            problem,
-            &input,
-            ScanKind::Inclusive,
-            &PipelinePolicy::default(),
-        )
-        .unwrap();
-        let faulted = scan_mps_faulted(
-            Add,
-            tuple,
-            &k80(),
-            &fabric,
-            cfg,
-            problem,
-            &input,
-            &PipelinePolicy::barrier_synchronous(),
-            &FaultPlan::none(),
-        )
-        .unwrap();
-        assert_eq!(faulted.data, healthy.data);
-        assert_eq!(
-            faulted.report.makespan.to_bits(),
-            healthy.report.makespan.to_bits(),
-            "an empty plan must reduce to the healthy schedule exactly"
-        );
-        assert!(faulted.faults.expect("faulted runs carry a report").events.is_empty());
+    fn victims_are_listed_once_and_late_evictions_clamp() {
+        let plan = FaultPlan::new(0).evict_gpu(1, 0).evict_gpu(1, 0).evict_gpu(3, 9);
+        let injection = Injection::start(&plan, &[0, 1, 2, 3]);
+        assert_eq!(injection.victims(0, 2, &[0, 1, 2, 3]), vec![1]);
+        assert_eq!(injection.victims(1, 2, &[0, 1, 2, 3]), vec![3]);
+        assert!(injection.victims(0, 2, &[0, 2]).is_empty(), "only active GPUs can be evicted");
     }
 
     #[test]
@@ -513,30 +141,23 @@ mod tests {
         let input = pseudo(problem.total_elems());
         let cfg = NodeConfig::new(2, 2, 1, 1).unwrap();
         let tuple = SplkTuple::kepler_premises(0);
-        let healthy = crate::mps::scan_mps(
-            Add,
-            tuple,
-            &k80(),
-            &fabric,
-            cfg,
-            problem,
-            &input,
-            ScanKind::Inclusive,
-            &PipelinePolicy::default(),
-        )
-        .unwrap();
-        let faulted = scan_mps_faulted(
-            Add,
-            tuple,
-            &k80(),
-            &fabric,
-            cfg,
-            problem,
-            &input,
-            &PipelinePolicy::barrier_synchronous(),
-            &FaultPlan::new(3).throttle_gpu(1, 4.0),
-        )
-        .unwrap();
+        let run = |faults: Option<&FaultPlan>| {
+            crate::mps::scan_mps(
+                Add,
+                tuple,
+                &k80(),
+                &fabric,
+                cfg,
+                problem,
+                &input,
+                ScanKind::Inclusive,
+                &PipelinePolicy::default(),
+                faults,
+            )
+            .unwrap()
+        };
+        let healthy = run(None);
+        let faulted = run(Some(&FaultPlan::new(3).throttle_gpu(1, 4.0)));
         assert_eq!(faulted.data, healthy.data, "throttling is timing-only");
         assert!(
             faulted.report.makespan > healthy.report.makespan,
@@ -557,7 +178,7 @@ mod tests {
         let input = pseudo(problem.total_elems());
         let cfg = NodeConfig::new(4, 4, 1, 1).unwrap();
         let tuple = SplkTuple::kepler_premises(0);
-        let faulted = scan_mps_faulted(
+        let faulted = crate::mps::scan_mps(
             Add,
             tuple,
             &k80(),
@@ -565,8 +186,9 @@ mod tests {
             cfg,
             problem,
             &input,
+            ScanKind::Inclusive,
             &PipelinePolicy::batched_barrier(4),
-            &FaultPlan::new(11).evict_gpu(2, 1),
+            Some(&FaultPlan::new(11).evict_gpu(2, 1)),
         )
         .unwrap();
         verify_batch(&faulted.data, &input, problem);
@@ -597,13 +219,14 @@ mod tests {
     fn evicting_the_only_gpu_errors_cleanly() {
         let problem = ProblemParams::new(13, 0);
         let input = pseudo(problem.total_elems());
-        let err = scan_sp_faulted(
+        let err = crate::single::scan_sp(
             Add,
             SplkTuple::kepler_premises(0),
             &k80(),
             problem,
             &input,
-            &FaultPlan::new(0).evict_gpu(0, 0),
+            ScanKind::Inclusive,
+            Some(&FaultPlan::new(0).evict_gpu(0, 0)),
         )
         .unwrap_err();
         match err {
@@ -620,7 +243,7 @@ mod tests {
         let cfg = NodeConfig::new(4, 2, 2, 1).unwrap();
         let tuple = SplkTuple::kepler_premises(0);
         // GPU 4 is in the second network's group.
-        let faulted = scan_mppc_faulted(
+        let faulted = crate::mppc::scan_mppc(
             Add,
             tuple,
             &k80(),
@@ -629,7 +252,7 @@ mod tests {
             problem,
             &input,
             &PipelinePolicy::barrier_synchronous(),
-            &FaultPlan::new(5).evict_gpu(4, 0),
+            Some(&FaultPlan::new(5).evict_gpu(4, 0)),
         )
         .unwrap();
         verify_batch(&faulted.data, &input, problem);
@@ -653,33 +276,23 @@ mod tests {
         let input = pseudo(problem.total_elems());
         let cfg = NodeConfig::new(2, 2, 1, 2).unwrap();
         let tuple = SplkTuple::kepler_premises(0);
-        let err = scan_mps_multinode_faulted(
-            Add,
-            tuple,
-            &k80(),
-            &fabric,
-            cfg,
-            problem,
-            &input,
-            &FaultPlan::new(0).evict_gpu(0, 0),
-        )
-        .unwrap_err();
+        let run = |faults: Option<&FaultPlan>| {
+            crate::multinode::scan_mps_multinode(
+                Add,
+                tuple,
+                &k80(),
+                &fabric,
+                cfg,
+                problem,
+                &input,
+                faults,
+            )
+        };
+        let err = run(Some(&FaultPlan::new(0).evict_gpu(0, 0))).unwrap_err();
         assert!(matches!(err, ScanError::InvalidConfig(_)));
 
-        let healthy =
-            crate::multinode::scan_mps_multinode(Add, tuple, &k80(), &fabric, cfg, problem, &input)
-                .unwrap();
-        let degraded = scan_mps_multinode_faulted(
-            Add,
-            tuple,
-            &k80(),
-            &fabric,
-            cfg,
-            problem,
-            &input,
-            &FaultPlan::new(9).degrade_link(Resource::ib(0, 1), 8.0),
-        )
-        .unwrap();
+        let healthy = run(None).unwrap();
+        let degraded = run(Some(&FaultPlan::new(9).degrade_link(Resource::ib(0, 1), 8.0))).unwrap();
         assert_eq!(degraded.data, healthy.data);
         assert!(
             degraded.report.makespan > healthy.report.makespan,

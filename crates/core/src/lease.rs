@@ -13,7 +13,7 @@
 //! [`NodeConfig`]: crate::params::NodeConfig
 
 use gpu_sim::DeviceSpec;
-use interconnect::{Fabric, LinkClass};
+use interconnect::{ExecGraph, Fabric, LinkClass};
 use skeletons::{ScanOp, Scannable, SplkTuple};
 
 use crate::error::{ScanError, ScanResult};
@@ -188,7 +188,9 @@ pub fn scan_on_lease<T: Scannable, O: ScanOp<T>>(
     let gpus = &lease.gpu_ids[..width];
 
     let mut data = vec![T::default(); problem.total_elems()];
-    let graph = build_pipeline_graph(
+    let mut graph = ExecGraph::new();
+    build_pipeline_graph(
+        &mut graph,
         op,
         tuple,
         device,
@@ -199,6 +201,7 @@ pub fn scan_on_lease<T: Scannable, O: ScanOp<T>>(
         input,
         kind,
         policy,
+        None,
         &mut data,
     )?;
     Ok(LeaseRun { data, run: PipelineRun::from_graph(graph), gpus_used: gpus.to_vec() })

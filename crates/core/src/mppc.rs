@@ -15,23 +15,28 @@
 //! number of PCI-e \[networks\] being used has to be reduced".
 
 use gpu_sim::DeviceSpec;
-use interconnect::{ExecGraph, Fabric};
+use interconnect::{ExecGraph, Fabric, FaultPlan};
 use skeletons::{ScanOp, Scannable, SplkTuple};
 
 use crate::error::{ScanError, ScanResult};
-use crate::exec::{build_pipeline_graph, PipelinePolicy, PipelineRun};
+use crate::exec::{build_pipeline_graph, PipelinePolicy};
+use crate::fault::Injection;
 use crate::params::{NodeConfig, ProblemParams, ScanKind};
-use crate::report::{RunReport, ScanOutput};
+use crate::report::ScanOutput;
 
 /// Batch inclusive scan with Prioritized Communications — the body behind
 /// [`crate::Proposal::Mppc`].
 ///
 /// Uses `M · Y` independent network groups of `V` GPUs each; groups run
 /// concurrently with no inter-group communication, each applying `policy`
-/// to its own slice. Each group builds its own execution subgraph on a
-/// scoped host thread; the subgraphs are merged into one graph whose
-/// schedule gives the run's makespan (groups never share a stream or link,
-/// so they overlap fully).
+/// to its own slice. Groups never share a stream or link, so they overlap
+/// fully in the schedule of the one graph the run is built into.
+///
+/// A healthy run builds each group's subgraph on a scoped host thread and
+/// merges the subgraphs by phase index. Under `faults`, the groups are
+/// appended into the graph one after another instead, so a group that
+/// replans after an eviction keeps its extra `recovery:` phases as its own
+/// rows (index-matching could not align them); only that group replans.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_mppc<T: Scannable, O: ScanOp<T>>(
     op: O,
@@ -42,6 +47,7 @@ pub(crate) fn scan_mppc<T: Scannable, O: ScanOp<T>>(
     problem: ProblemParams,
     input: &[T],
     policy: &PipelinePolicy,
+    faults: Option<&FaultPlan>,
 ) -> ScanResult<ScanOutput<T>> {
     cfg.validate_against(fabric.topology())?;
     if input.len() != problem.total_elems() {
@@ -58,72 +64,77 @@ pub(crate) fn scan_mppc<T: Scannable, O: ScanOp<T>>(
     let groups = groups_available.min(problem.batch());
     let problems_per_group = problem.batch() / groups;
     let sub_problem = ProblemParams::new(problem.n(), problems_per_group.trailing_zeros());
-    let n = problem.problem_size();
+    let chunk = problems_per_group * problem.problem_size();
+    // The selection lists each (node, network)'s `V` GPUs in turn, so the
+    // groups that run own its first `groups · V` entries, `V` apiece.
+    let mut gpus = cfg.selected_gpus(fabric.topology());
+    gpus.truncate(groups * cfg.v());
 
+    let mut faults = faults.map(|plan| Injection::start(plan, &gpus));
     let mut data = vec![T::default(); problem.total_elems()];
+    let group_runs = gpus.chunks(cfg.v()).zip(input.chunks(chunk)).zip(data.chunks_mut(chunk));
+    let build = |graph: &mut ExecGraph,
+                 gpu_ids: &[usize],
+                 group_input: &[T],
+                 out_chunk: &mut [T],
+                 faults: Option<&mut Injection>| {
+        build_pipeline_graph(
+            graph,
+            op,
+            tuple,
+            device,
+            fabric,
+            gpu_ids,
+            0,
+            sub_problem,
+            group_input,
+            ScanKind::Inclusive,
+            policy,
+            faults,
+            out_chunk,
+        )
+    };
 
-    // Groups are independent — run each builder on its own scoped host
-    // thread, writing directly into its disjoint slice of the output.
-    let group_graphs: Vec<ScanResult<ExecGraph>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = data
-            .chunks_mut(problems_per_group * n)
-            .enumerate()
-            .map(|(group, out_chunk)| {
-                // Groups are assigned round-robin over (node, network).
-                let node = group / cfg.y();
-                let network = group % cfg.y();
-                let gpu_ids: Vec<usize> = (0..cfg.v())
-                    .map(|slot| fabric.topology().gpu_at(node, network, slot))
+    let mut graph = ExecGraph::new();
+    match faults.as_mut() {
+        None => {
+            let group_graphs: Vec<ScanResult<ExecGraph>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = group_runs
+                    .map(|((gpu_ids, group_input), out_chunk)| {
+                        scope.spawn(move || {
+                            let mut graph = ExecGraph::new();
+                            build(&mut graph, gpu_ids, group_input, out_chunk, None)?;
+                            Ok(graph)
+                        })
+                    })
                     .collect();
-                let start = group * problems_per_group * n;
-                let group_input = &input[start..start + problems_per_group * n];
-                scope.spawn(move || {
-                    build_pipeline_graph(
-                        op,
-                        tuple,
-                        device,
-                        fabric,
-                        &gpu_ids,
-                        0,
-                        sub_problem,
-                        group_input,
-                        ScanKind::Inclusive,
-                        policy,
-                        out_chunk,
-                    )
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("group thread panicked")).collect()
-    });
-
-    let mut merged: Option<ExecGraph> = None;
-    for graph in group_graphs {
-        let graph = graph?;
-        match merged.as_mut() {
-            None => merged = Some(graph),
-            Some(g) => {
-                g.merge(graph);
+                handles.into_iter().map(|h| h.join().expect("group thread panicked")).collect()
+            });
+            for group_graph in group_graphs {
+                graph.merge(group_graph?);
+            }
+        }
+        Some(injection) => {
+            for ((gpu_ids, group_input), out_chunk) in group_runs {
+                build(&mut graph, gpu_ids, group_input, out_chunk, Some(&mut *injection))?;
             }
         }
     }
-    let graph = merged.expect("at least one group");
 
     let plural = if groups == 1 { "group" } else { "groups" };
-    Ok(ScanOutput::new(
-        data,
-        RunReport::from_run(
-            format!(
-                "Scan-MP-PC W={} V={} Y={} M={} ({groups} {plural})",
-                cfg.w(),
-                cfg.v(),
-                cfg.y(),
-                cfg.m()
-            ),
-            problem.total_elems(),
-            PipelineRun::from_graph(graph),
+    ScanOutput::from_graph(
+        format!(
+            "Scan-MP-PC W={} V={} Y={} M={} ({groups} {plural})",
+            cfg.w(),
+            cfg.v(),
+            cfg.y(),
+            cfg.m()
         ),
-    ))
+        problem.total_elems(),
+        data,
+        graph,
+        faults,
+    )
 }
 
 #[cfg(test)]

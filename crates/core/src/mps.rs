@@ -11,14 +11,14 @@
 //! staging, which is the entire story of Fig. 9.
 
 use gpu_sim::DeviceSpec;
-use interconnect::Fabric;
+use interconnect::{Fabric, FaultPlan};
 use skeletons::{ScanOp, Scannable, SplkTuple};
 
 use crate::error::{ScanError, ScanResult};
 use crate::exec::PipelinePolicy;
 use crate::multi_gpu::run_pipeline_group;
 use crate::params::{NodeConfig, ProblemParams, ScanKind};
-use crate::report::{RunReport, ScanOutput};
+use crate::report::ScanOutput;
 
 /// Batch scan with Multi-GPU Problem Scattering on a single node — the body
 /// behind [`crate::Proposal::Mps`].
@@ -28,7 +28,9 @@ use crate::report::{RunReport, ScanOutput};
 /// every problem. A pipelined `policy` splits the batch into sub-batches
 /// and lets the auxiliary-array exchange of one sub-batch overlap Stage-1
 /// compute of the next; the default barrier-synchronous policy reproduces
-/// the paper's model exactly.
+/// the paper's model exactly. Under `faults`, an eviction aborts the
+/// sub-batch it lands on and replans the remaining work over the
+/// survivors.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_mps<T: Scannable, O: ScanOp<T>>(
     op: O,
@@ -40,6 +42,7 @@ pub(crate) fn scan_mps<T: Scannable, O: ScanOp<T>>(
     input: &[T],
     kind: ScanKind,
     policy: &PipelinePolicy,
+    faults: Option<&FaultPlan>,
 ) -> ScanResult<ScanOutput<T>> {
     if cfg.m() != 1 {
         return Err(ScanError::InvalidConfig(
@@ -47,17 +50,19 @@ pub(crate) fn scan_mps<T: Scannable, O: ScanOp<T>>(
         ));
     }
     cfg.validate_against(fabric.topology())?;
-    let gpu_ids = cfg.selected_gpus(fabric.topology());
-    let (data, run) =
-        run_pipeline_group(op, tuple, device, fabric, &gpu_ids, problem, input, kind, policy)?;
-    Ok(ScanOutput::new(
-        data,
-        RunReport::from_run(
-            format!("Scan-MPS W={} V={} Y={}", cfg.w(), cfg.v(), cfg.y()),
-            problem.total_elems(),
-            run,
-        ),
-    ))
+    run_pipeline_group(
+        format!("Scan-MPS W={} V={} Y={}", cfg.w(), cfg.v(), cfg.y()),
+        op,
+        tuple,
+        device,
+        fabric,
+        &cfg.selected_gpus(fabric.topology()),
+        problem,
+        input,
+        kind,
+        policy,
+        faults,
+    )
 }
 
 #[cfg(test)]

@@ -8,13 +8,17 @@
 //! execution.
 
 use gpu_sim::{CostCounters, DeviceSpec, Gpu, KernelStats, SimError, SimResult};
-use interconnect::{strided_exchange_cost, CollectiveCost, Fabric, StridedPart};
+use interconnect::{
+    strided_exchange_cost, CollectiveCost, ExecGraph, Fabric, FaultPlan, StridedPart,
+};
 use skeletons::{ScanOp, Scannable, SplkTuple};
 
 use crate::error::{ScanError, ScanResult};
-use crate::exec::{build_pipeline_graph, PipelinePolicy, PipelineRun};
+use crate::exec::{build_pipeline_graph, PipelinePolicy};
+use crate::fault::Injection;
 use crate::params::{ProblemParams, ScanKind};
 use crate::plan::ExecutionPlan;
+use crate::report::ScanOutput;
 
 /// One participating GPU and its buffers.
 #[derive(Debug)]
@@ -258,13 +262,15 @@ pub fn assemble_output<T: Scannable>(plan: &ExecutionPlan, workers: &[Worker<T>]
 ///
 /// The run is assembled as an execution graph (see [`crate::exec`]) whose
 /// kernels sit on per-GPU streams and whose exchanges occupy the links they
-/// traverse. Returns the scanned batch (problem-major) and the scheduled
-/// [`PipelineRun`] (graph, derived timeline, makespan).
+/// traverse. Returns the scanned batch (problem-major) with its report,
+/// labelled `label`.
 ///
 /// `kind` selects inclusive or exclusive semantics; `policy` the issue
-/// policy (sub-batch count and communication/compute overlap).
+/// policy (sub-batch count and communication/compute overlap); `faults` an
+/// optional fault plan to run under.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_pipeline_group<T: Scannable, O: ScanOp<T>>(
+    label: String,
     op: O,
     tuple: SplkTuple,
     device: &DeviceSpec,
@@ -274,12 +280,27 @@ pub(crate) fn run_pipeline_group<T: Scannable, O: ScanOp<T>>(
     input: &[T],
     kind: ScanKind,
     policy: &PipelinePolicy,
-) -> ScanResult<(Vec<T>, PipelineRun)> {
-    let mut out = vec![T::default(); problem.total_elems()];
-    let graph = build_pipeline_graph(
-        op, tuple, device, fabric, gpu_ids, 0, problem, input, kind, policy, &mut out,
+    faults: Option<&FaultPlan>,
+) -> ScanResult<ScanOutput<T>> {
+    let mut faults = faults.map(|plan| Injection::start(plan, gpu_ids));
+    let mut data = vec![T::default(); problem.total_elems()];
+    let mut graph = ExecGraph::new();
+    build_pipeline_graph(
+        &mut graph,
+        op,
+        tuple,
+        device,
+        fabric,
+        gpu_ids,
+        0,
+        problem,
+        input,
+        kind,
+        policy,
+        faults.as_mut(),
+        &mut data,
     )?;
-    Ok((out, PipelineRun::from_graph(graph)))
+    ScanOutput::from_graph(label, problem.total_elems(), data, graph, faults)
 }
 
 #[cfg(test)]
@@ -353,7 +374,8 @@ mod tests {
         let problem = ProblemParams::new(13, 2);
         let input = pseudo(4 << 13);
         let fabric = Fabric::tsubame_kfc(1);
-        let (out, run) = run_pipeline_group(
+        let out = run_pipeline_group(
+            String::new(),
             Add,
             SplkTuple::kepler_premises(0),
             &k80(),
@@ -363,18 +385,19 @@ mod tests {
             &input,
             ScanKind::Inclusive,
             &PipelinePolicy::default(),
+            None,
         )
         .unwrap();
         for g in 0..4 {
             let s = g << 13;
             let expected = reference_inclusive(Add, &input[s..s + (1 << 13)]);
-            assert_eq!(&out[s..s + (1 << 13)], &expected[..], "problem {g}");
+            assert_eq!(&out.data[s..s + (1 << 13)], &expected[..], "problem {g}");
         }
-        assert_eq!(run.timeline.phases().len(), 5, "three stages and two comm phases");
-        assert!(run.makespan > 0.0);
+        assert_eq!(out.report.timeline.phases().len(), 5, "three stages and two comm phases");
+        assert!(out.report.makespan > 0.0);
         assert_eq!(
-            run.makespan.to_bits(),
-            run.timeline.total().to_bits(),
+            out.report.makespan.to_bits(),
+            out.report.timeline.total().to_bits(),
             "barrier-synchronous schedule must equal the phase sum exactly"
         );
     }
@@ -384,7 +407,8 @@ mod tests {
         let problem = ProblemParams::new(12, 3);
         let input = pseudo(8 << 12);
         let fabric = Fabric::tsubame_kfc(1);
-        let (out, run) = run_pipeline_group(
+        let out = run_pipeline_group(
+            String::new(),
             Add,
             SplkTuple::kepler_premises(1),
             &k80(),
@@ -394,15 +418,16 @@ mod tests {
             &input,
             ScanKind::Inclusive,
             &PipelinePolicy::default(),
+            None,
         )
         .unwrap();
         for g in 0..8 {
             let s = g << 12;
             let expected = reference_inclusive(Add, &input[s..s + (1 << 12)]);
-            assert_eq!(&out[s..s + (1 << 12)], &expected[..]);
+            assert_eq!(&out.data[s..s + (1 << 12)], &expected[..]);
         }
         // Single-GPU comm phases are free.
-        assert_eq!(run.timeline.seconds_with_prefix("comm:"), 0.0);
+        assert_eq!(out.report.timeline.seconds_with_prefix("comm:"), 0.0);
     }
 
     #[test]
@@ -410,7 +435,8 @@ mod tests {
         let problem = ProblemParams::new(14, 1);
         let input = pseudo(2 << 14);
         let fabric = Fabric::tsubame_kfc(1);
-        let (out, _) = run_pipeline_group(
+        let out = run_pipeline_group(
+            String::new(),
             Add,
             SplkTuple::kepler_premises(0),
             &k80(),
@@ -420,12 +446,13 @@ mod tests {
             &input,
             ScanKind::Inclusive,
             &PipelinePolicy::default(),
+            None,
         )
         .unwrap();
         for g in 0..2 {
             let s = g << 14;
             let expected = reference_inclusive(Add, &input[s..s + (1 << 14)]);
-            assert_eq!(&out[s..s + (1 << 14)], &expected[..]);
+            assert_eq!(&out.data[s..s + (1 << 14)], &expected[..]);
         }
     }
 
@@ -436,7 +463,8 @@ mod tests {
         let fabric = Fabric::tsubame_kfc(1);
         let tuple = SplkTuple::kepler_premises(0);
         // Same-network four GPUs vs four GPUs split across two networks.
-        let (_, run_p2p) = run_pipeline_group(
+        let run_p2p = run_pipeline_group(
+            String::new(),
             Add,
             tuple,
             &k80(),
@@ -446,9 +474,11 @@ mod tests {
             &input,
             ScanKind::Inclusive,
             &PipelinePolicy::default(),
+            None,
         )
         .unwrap();
-        let (_, run_host) = run_pipeline_group(
+        let run_host = run_pipeline_group(
+            String::new(),
             Add,
             tuple,
             &k80(),
@@ -458,10 +488,11 @@ mod tests {
             &input,
             ScanKind::Inclusive,
             &PipelinePolicy::default(),
+            None,
         )
         .unwrap();
-        let comm_p2p = run_p2p.timeline.seconds_with_prefix("comm:");
-        let comm_host = run_host.timeline.seconds_with_prefix("comm:");
+        let comm_p2p = run_p2p.report.timeline.seconds_with_prefix("comm:");
+        let comm_host = run_host.report.timeline.seconds_with_prefix("comm:");
         assert!(
             comm_host > 2.0 * comm_p2p,
             "cross-network aux exchange must be much slower ({comm_host} vs {comm_p2p})"

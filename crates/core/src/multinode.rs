@@ -16,13 +16,14 @@ use interconnect::{ExecGraph, Fabric, FaultPlan, MpiComm, NodeId, NodeMeta, Reso
 use skeletons::{ScanOp, Scannable, SplkTuple};
 
 use crate::error::{ScanError, ScanResult};
-use crate::exec::{collective_links, PipelineRun};
+use crate::exec::collective_links;
+use crate::fault::{throttle_workers, Injection};
 use crate::multi_gpu::{
     assemble_output, build_workers, parallel_phase_counted, scatter_offsets_functional, Worker,
 };
 use crate::params::{NodeConfig, ProblemParams};
 use crate::plan::ExecutionPlan;
-use crate::report::{RunReport, ScanOutput};
+use crate::report::ScanOutput;
 use crate::stage1::run_stage1;
 use crate::stage2::run_stage2;
 use crate::stage3::run_stage3;
@@ -31,7 +32,11 @@ use crate::stage3::run_stage3;
 /// — the body behind [`crate::Proposal::MpsMultinode`].
 ///
 /// Requires `cfg.m() > 1`; a single node runs through the single-node
-/// proposal.
+/// proposal. Under `faults`, SM throttles and link faults (including
+/// InfiniBand degradation and loss) apply; device evictions are rejected —
+/// there is no replanning protocol across MPI ranks, so an eviction plan
+/// is an invalid configuration rather than a panic.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_mps_multinode<T: Scannable, O: ScanOp<T>>(
     op: O,
     tuple: SplkTuple,
@@ -40,36 +45,15 @@ pub(crate) fn scan_mps_multinode<T: Scannable, O: ScanOp<T>>(
     cfg: NodeConfig,
     problem: ProblemParams,
     input: &[T],
+    faults: Option<&FaultPlan>,
 ) -> ScanResult<ScanOutput<T>> {
-    let (data, graph) =
-        build_multinode_graph(op, tuple, device, fabric, cfg, problem, input, None)?;
-    Ok(ScanOutput::new(
-        data,
-        RunReport::from_run(
-            format!("Scan-MPS multi-node M={} W={}", cfg.m(), cfg.w()),
-            problem.total_elems(),
-            PipelineRun::from_graph(graph),
-        ),
-    ))
-}
-
-/// The multi-node pipeline body, shared with the fault-injection entry
-/// point: builds the MPI-phase execution graph and returns it unscheduled
-/// together with the scanned data. `fault_plan` carries per-GPU SM
-/// throttles (link faults are applied to the finished graph by the
-/// caller; evictions are rejected there — there is no replanning across
-/// MPI ranks).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_multinode_graph<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
-    cfg: NodeConfig,
-    problem: ProblemParams,
-    input: &[T],
-    fault_plan: Option<&FaultPlan>,
-) -> ScanResult<(Vec<T>, ExecGraph)> {
+    if faults.is_some_and(|plan| !plan.evictions().is_empty()) {
+        return Err(ScanError::InvalidConfig(
+            "device eviction is not supported for the multi-node proposal: MPI ranks cannot \
+             replan a lost peer's portion; restrict the fault plan to link faults and throttles"
+                .into(),
+        ));
+    }
     if cfg.m() < 2 {
         return Err(ScanError::InvalidConfig(
             "MpsMultinode needs M ≥ 2; use Mps on a single node".into(),
@@ -77,17 +61,13 @@ pub(crate) fn build_multinode_graph<T: Scannable, O: ScanOp<T>>(
     }
     cfg.validate_against(fabric.topology())?;
     let gpu_ids = cfg.selected_gpus(fabric.topology());
+    let faults = faults.map(|plan| Injection::start(plan, &gpu_ids));
     let comm = MpiComm::new(gpu_ids.clone(), gpu_ids[0]);
 
     let plan = ExecutionPlan::new(problem, tuple, gpu_ids.len())?;
     let mut workers = build_workers(device, &plan, &gpu_ids, input)?;
-    if let Some(fp) = fault_plan {
-        for w in &mut workers {
-            let factor = fp.throttle_of(w.global_id);
-            if factor > 1.0 {
-                w.gpu.set_sm_throttle(factor);
-            }
-        }
+    if let Some(injection) = &faults {
+        throttle_workers(injection.plan, &mut workers);
     }
     let mut graph = ExecGraph::new();
     let elem_bytes = std::mem::size_of::<T>();
@@ -190,7 +170,13 @@ pub(crate) fn build_multinode_graph<T: Scannable, O: ScanOp<T>>(
     let p = graph.phase("MPI_Barrier");
     graph.add(p, "MPI_Barrier", EventKind::Collective, barrier.seconds, &s3, &[]);
 
-    Ok((assemble_output(&plan, &workers), graph))
+    ScanOutput::from_graph(
+        format!("Scan-MPS multi-node M={} W={}", cfg.m(), cfg.w()),
+        problem.total_elems(),
+        assemble_output(&plan, &workers),
+        graph,
+        faults,
+    )
 }
 
 /// Functional part of the MPI gather: place each rank's aux rows in the

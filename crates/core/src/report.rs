@@ -1,10 +1,13 @@
 //! Run reports: what a pipeline invocation returns besides the data.
 
 use interconnect::{
-    CriticalPathReport, ExecGraph, FaultReport, Timeline, Trace, UtilizationReport,
+    apply_link_faults, CriticalPathReport, ExecGraph, FaultReport, Timeline, Trace,
+    UtilizationReport,
 };
 
+use crate::error::ScanResult;
 use crate::exec::PipelineRun;
+use crate::fault::Injection;
 
 /// Timing report of one batch-scan invocation.
 #[derive(Debug, Clone)]
@@ -130,6 +133,28 @@ impl<T> ScanOutput<T> {
     /// A healthy, untraced output (no fault record, no captured trace).
     pub fn new(data: Vec<T>, report: RunReport) -> Self {
         ScanOutput { data, report, faults: None, trace: None }
+    }
+
+    /// Schedule a proposal's finished graph and package the run. Under a
+    /// fault plan, the plan's link faults are priced into the graph first,
+    /// the label gains a ` [faulted]` tag and the output carries the fault
+    /// report.
+    pub(crate) fn from_graph(
+        label: String,
+        elements: usize,
+        data: Vec<T>,
+        graph: ExecGraph,
+        faults: Option<Injection>,
+    ) -> ScanResult<Self> {
+        let (label, graph, faults) = match faults {
+            None => (label, graph, None),
+            Some(Injection { plan, mut report }) => {
+                let graph = apply_link_faults(&graph, plan, &mut report)?;
+                (format!("{label} [faulted]"), graph, Some(report))
+            }
+        };
+        let report = RunReport::from_run(label, elements, PipelineRun::from_graph(graph));
+        Ok(ScanOutput { data, report, faults, trace: None })
     }
 
     /// The run's execution trace: the captured handle when tracing was

@@ -22,9 +22,9 @@
 //! assert_eq!(out.data.len(), input.len());
 //! ```
 //!
-//! `run` is a dispatch table: each (proposal, fault plan) pair maps to
-//! exactly one crate-private implementation, so adding a proposal means
-//! adding one arm here.
+//! `run` is a dispatch table: each proposal maps to exactly one
+//! crate-private implementation, which takes the optional fault plan as
+//! an input, so adding a proposal means adding one arm here.
 
 use std::sync::Arc;
 
@@ -196,8 +196,11 @@ impl<O: Copy> ScanRequest<O> {
     }
 
     /// Run under a seeded fault plan (throttles, link faults, evictions).
-    /// Routes through the proposal's fault-injected twin; the output's
-    /// `faults` field records what was injected.
+    /// Each proposal has one builder, which takes the plan as an optional
+    /// input; the output's `faults` field records what was injected. Case 1,
+    /// exclusive semantics and explicit [`ScanRequest::device_ids`] leases
+    /// reject a plan, and so does the multi-node proposal for a plan that
+    /// evicts a GPU.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
@@ -270,7 +273,15 @@ impl<O: Copy> ScanRequest<O> {
             Proposal::Case1 => {
                 self.reject_policy()?;
                 self.reject_exclusive("Case1")?;
-                Ok(Some(self.require_cfg()?))
+                let cfg = self.require_cfg()?;
+                if self.faults.is_some() {
+                    return Err(ScanError::InvalidConfig(
+                        "Case1 does not take a fault plan: its groups share no link to fault and \
+                         no replanning protocol"
+                            .into(),
+                    ));
+                }
+                Ok(Some(cfg))
             }
         }
     }
@@ -289,7 +300,7 @@ impl<O: Copy> ScanRequest<O> {
         let policy = self.policy.unwrap_or_default();
         let (op, problem, kind) = (self.op, self.problem, self.kind);
         if self.faults.is_some() {
-            self.reject_exclusive("the fault-injected twins run inclusive scans")?;
+            self.reject_exclusive("a fault plan runs inclusive scans only")?;
         }
         let fabric = |m: usize| self.fabric.clone().unwrap_or_else(|| Fabric::tsubame_kfc(m));
 
@@ -302,7 +313,7 @@ impl<O: Copy> ScanRequest<O> {
             }
             if self.faults.is_some() {
                 return Err(ScanError::InvalidConfig(
-                    "explicit device_ids leases have no fault-injected twin".into(),
+                    "explicit device_ids leases do not take a fault plan".into(),
                 ));
             }
             if !matches!(self.proposal, Proposal::Sp | Proposal::Mps) {
@@ -372,58 +383,36 @@ impl<O: Copy> ScanRequest<O> {
             _ => None,
         };
 
-        // The dispatch table: one implementation per (proposal, fault plan).
+        // The dispatch table: one implementation per proposal, each taking
+        // the optional fault plan as an input.
+        let faults = self.faults.as_ref();
         let node = || self.require_cfg().map(|c| (c, fabric(c.m())));
-        let out = match (self.proposal, &self.faults) {
-            (Proposal::Sp, None) => {
-                crate::single::scan_sp(op, tuple, &device, problem, input, kind)
+        let out = match self.proposal {
+            Proposal::Sp => {
+                crate::single::scan_sp(op, tuple, &device, problem, input, kind, faults)
             }
-            (Proposal::Sp, Some(plan)) => {
-                crate::fault::scan_sp_faulted(op, tuple, &device, problem, input, plan)
-            }
-            (Proposal::Mps, None) => {
+            Proposal::Mps => {
                 let (cfg, fabric) = node()?;
                 crate::mps::scan_mps(
-                    op, tuple, &device, &fabric, cfg, problem, input, kind, &policy,
+                    op, tuple, &device, &fabric, cfg, problem, input, kind, &policy, faults,
                 )
             }
-            (Proposal::Mps, Some(plan)) => {
+            Proposal::Mppc => {
                 let (cfg, fabric) = node()?;
-                crate::fault::scan_mps_faulted(
-                    op, tuple, &device, &fabric, cfg, problem, input, &policy, plan,
+                crate::mppc::scan_mppc(
+                    op, tuple, &device, &fabric, cfg, problem, input, &policy, faults,
                 )
             }
-            (Proposal::Mppc, None) => {
-                let (cfg, fabric) = node()?;
-                crate::mppc::scan_mppc(op, tuple, &device, &fabric, cfg, problem, input, &policy)
-            }
-            (Proposal::Mppc, Some(plan)) => {
-                let (cfg, fabric) = node()?;
-                crate::fault::scan_mppc_faulted(
-                    op, tuple, &device, &fabric, cfg, problem, input, &policy, plan,
-                )
-            }
-            (Proposal::MpsMultinode, None) => {
+            Proposal::MpsMultinode => {
                 let (cfg, fabric) = node()?;
                 crate::multinode::scan_mps_multinode(
-                    op, tuple, &device, &fabric, cfg, problem, input,
+                    op, tuple, &device, &fabric, cfg, problem, input, faults,
                 )
             }
-            (Proposal::MpsMultinode, Some(plan)) => {
-                let (cfg, fabric) = node()?;
-                crate::fault::scan_mps_multinode_faulted(
-                    op, tuple, &device, &fabric, cfg, problem, input, plan,
-                )
-            }
-            (Proposal::Case1, None) => {
+            Proposal::Case1 => {
                 let (cfg, fabric) = node()?;
                 crate::case1::scan_case1(op, tuple, &device, &fabric, cfg, problem, input)
             }
-            (Proposal::Case1, Some(_)) => Err(ScanError::InvalidConfig(
-                "Case1 has no fault-injected twin: its groups share no link to fault and no \
-                 replanning protocol"
-                    .into(),
-            )),
         }?;
 
         if let Some((cache, key)) = cached {
@@ -502,9 +491,16 @@ mod tests {
     fn request_matches_scan_sp() {
         let problem = ProblemParams::new(13, 2);
         let input = pseudo(problem.total_elems());
-        let direct =
-            crate::single::scan_sp(Add, tuple(), &device(), problem, &input, ScanKind::Inclusive)
-                .unwrap();
+        let direct = crate::single::scan_sp(
+            Add,
+            tuple(),
+            &device(),
+            problem,
+            &input,
+            ScanKind::Inclusive,
+            None,
+        )
+        .unwrap();
         let req = ScanRequest::new(Add, problem).run(&input).unwrap();
         assert_identical(&direct, &req);
         assert!(req.faults.is_none());
@@ -515,9 +511,16 @@ mod tests {
     fn request_matches_exclusive_scan_sp() {
         let problem = ProblemParams::new(13, 1);
         let input = pseudo(problem.total_elems());
-        let direct =
-            crate::single::scan_sp(Add, tuple(), &device(), problem, &input, ScanKind::Exclusive)
-                .unwrap();
+        let direct = crate::single::scan_sp(
+            Add,
+            tuple(),
+            &device(),
+            problem,
+            &input,
+            ScanKind::Exclusive,
+            None,
+        )
+        .unwrap();
         let req = ScanRequest::new(Add, problem).tuple(tuple()).exclusive().run(&input).unwrap();
         assert_identical(&direct, &req);
     }
@@ -537,6 +540,7 @@ mod tests {
             &input,
             ScanKind::Inclusive,
             &PipelinePolicy::default(),
+            None,
         )
         .unwrap();
         let req = request(Proposal::Mps, cfg, problem).run(&input).unwrap();
@@ -558,6 +562,7 @@ mod tests {
             &input,
             ScanKind::Exclusive,
             &PipelinePolicy::default(),
+            None,
         )
         .unwrap();
         let req = request(Proposal::Mps, cfg, problem).exclusive().run(&input).unwrap();
@@ -580,6 +585,7 @@ mod tests {
             &input,
             ScanKind::Inclusive,
             &policy,
+            None,
         )
         .unwrap();
         let req = request(Proposal::Mps, cfg, problem).pipeline(policy).run(&input).unwrap();
@@ -600,6 +606,7 @@ mod tests {
             problem,
             &input,
             &PipelinePolicy::default(),
+            None,
         )
         .unwrap();
         let req = request(Proposal::Mppc, cfg, problem).run(&input).unwrap();
@@ -621,6 +628,7 @@ mod tests {
             problem,
             &input,
             &policy,
+            None,
         )
         .unwrap();
         let req = request(Proposal::Mppc, cfg, problem).pipeline(policy).run(&input).unwrap();
@@ -640,6 +648,7 @@ mod tests {
             cfg,
             problem,
             &input,
+            None,
         )
         .unwrap();
         let req = request(Proposal::MpsMultinode, cfg, problem).run(&input).unwrap();
@@ -666,24 +675,32 @@ mod tests {
     }
 
     #[test]
-    fn request_matches_scan_sp_faulted() {
+    fn request_matches_faulted_scan_sp() {
         let problem = ProblemParams::new(13, 1);
         let input = pseudo(problem.total_elems());
         let plan = FaultPlan::new(7).throttle_gpu(0, 2.0);
-        let direct =
-            crate::fault::scan_sp_faulted(Add, tuple(), &device(), problem, &input, &plan).unwrap();
+        let direct = crate::single::scan_sp(
+            Add,
+            tuple(),
+            &device(),
+            problem,
+            &input,
+            ScanKind::Inclusive,
+            Some(&plan),
+        )
+        .unwrap();
         let req = ScanRequest::new(Add, problem).tuple(tuple()).faults(plan).run(&input).unwrap();
         assert_identical(&direct, &req);
     }
 
     #[test]
-    fn request_matches_scan_mps_faulted() {
+    fn request_matches_faulted_scan_mps() {
         let problem = ProblemParams::new(13, 2);
         let input = pseudo(problem.total_elems());
         let cfg = NodeConfig::new(4, 4, 1, 1).unwrap();
         let policy = PipelinePolicy::batched_barrier(4);
         let plan = FaultPlan::new(0xC0FFEE).evict_gpu(2, 1);
-        let direct = crate::fault::scan_mps_faulted(
+        let direct = crate::mps::scan_mps(
             Add,
             tuple(),
             &device(),
@@ -691,8 +708,9 @@ mod tests {
             cfg,
             problem,
             &input,
+            ScanKind::Inclusive,
             &policy,
-            &plan,
+            Some(&plan),
         )
         .unwrap();
         let req =
@@ -701,13 +719,13 @@ mod tests {
     }
 
     #[test]
-    fn request_matches_scan_mppc_faulted() {
+    fn request_matches_faulted_scan_mppc() {
         let problem = ProblemParams::new(13, 3);
         let input = pseudo(problem.total_elems());
         let cfg = NodeConfig::new(4, 2, 2, 1).unwrap();
         let policy = PipelinePolicy::default();
         let plan = FaultPlan::new(5).evict_gpu(4, 0);
-        let direct = crate::fault::scan_mppc_faulted(
+        let direct = crate::mppc::scan_mppc(
             Add,
             tuple(),
             &device(),
@@ -716,7 +734,7 @@ mod tests {
             problem,
             &input,
             &policy,
-            &plan,
+            Some(&plan),
         )
         .unwrap();
         let req = request(Proposal::Mppc, cfg, problem)
@@ -728,12 +746,12 @@ mod tests {
     }
 
     #[test]
-    fn request_matches_scan_mps_multinode_faulted() {
+    fn request_matches_faulted_scan_mps_multinode() {
         let problem = ProblemParams::new(14, 1);
         let input = pseudo(problem.total_elems());
         let cfg = NodeConfig::new(4, 4, 1, 2).unwrap();
         let plan = FaultPlan::new(9).degrade_link(interconnect::Resource::ib(0, 1), 8.0);
-        let direct = crate::fault::scan_mps_multinode_faulted(
+        let direct = crate::multinode::scan_mps_multinode(
             Add,
             tuple(),
             &device(),
@@ -741,7 +759,7 @@ mod tests {
             cfg,
             problem,
             &input,
-            &plan,
+            Some(&plan),
         )
         .unwrap();
         let req = request(Proposal::MpsMultinode, cfg, problem).faults(plan).run(&input).unwrap();
@@ -782,7 +800,7 @@ mod tests {
             .run(&input)
             .unwrap_err();
         assert!(matches!(err, ScanError::InvalidConfig(_)));
-        // Case1 has no faulted twin.
+        // Case1 does not take a fault plan.
         let err = ScanRequest::new(Add, problem)
             .proposal(Proposal::Case1)
             .devices(NodeConfig::new(2, 2, 1, 1).unwrap())

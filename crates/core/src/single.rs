@@ -5,14 +5,14 @@
 //! the competing libraries in Fig. 11/12 as *Scan Single-GPU Problem*.
 
 use gpu_sim::DeviceSpec;
-use interconnect::Fabric;
+use interconnect::{Fabric, FaultPlan};
 use skeletons::{ScanOp, Scannable, SplkTuple};
 
 use crate::error::ScanResult;
 use crate::exec::PipelinePolicy;
 use crate::multi_gpu::run_pipeline_group;
 use crate::params::{ProblemParams, ScanKind};
-use crate::report::{RunReport, ScanOutput};
+use crate::report::ScanOutput;
 
 /// Batch scan on a single GPU — the body behind [`crate::Proposal::Sp`].
 ///
@@ -20,6 +20,10 @@ use crate::report::{RunReport, ScanOutput};
 /// the layout. The tuple's `K` should come from the premises
 /// ([`crate::premises::default_k`]) or the autotuner. Exclusive semantics
 /// give `out[0] = identity`, `out[i] = x₀ ∘ … ∘ xᵢ₋₁` per problem.
+///
+/// Under `faults`, a single GPU has no links, so only SM throttles apply —
+/// and evicting GPU 0 is always "evicting the last GPU", surfaced as
+/// [`crate::ScanError::InvalidConfig`].
 pub(crate) fn scan_sp<T: Scannable, O: ScanOp<T>>(
     op: O,
     tuple: SplkTuple,
@@ -27,9 +31,15 @@ pub(crate) fn scan_sp<T: Scannable, O: ScanOp<T>>(
     problem: ProblemParams,
     input: &[T],
     kind: ScanKind,
+    faults: Option<&FaultPlan>,
 ) -> ScanResult<ScanOutput<T>> {
     let fabric = Fabric::new(interconnect::Topology::single_gpu(), Default::default());
-    let (data, run) = run_pipeline_group(
+    let label = match kind {
+        ScanKind::Inclusive => "Scan-SP",
+        ScanKind::Exclusive => "Scan-SP (exclusive)",
+    };
+    run_pipeline_group(
+        label.into(),
         op,
         tuple,
         device,
@@ -39,12 +49,8 @@ pub(crate) fn scan_sp<T: Scannable, O: ScanOp<T>>(
         input,
         kind,
         &PipelinePolicy::default(),
-    )?;
-    let label = match kind {
-        ScanKind::Inclusive => "Scan-SP",
-        ScanKind::Exclusive => "Scan-SP (exclusive)",
-    };
-    Ok(ScanOutput::new(data, RunReport::from_run(label, problem.total_elems(), run)))
+        faults,
+    )
 }
 
 #[cfg(test)]

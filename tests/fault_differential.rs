@@ -253,3 +253,112 @@ fn evicting_one_of_eight_gpus_mid_mps_meets_the_acceptance_criteria() {
     assert_eq!(faulted.report.makespan.to_bits(), again.report.makespan.to_bits());
     assert_eq!(fault_report.events, again.faults.as_ref().unwrap().events);
 }
+
+/// An empty plan reduces every proposal to its healthy run: the same data,
+/// the same makespan bits and no events. The label only gains the
+/// ` [faulted]` tag. MP-PC is the one proposal whose phase rows differ: a
+/// healthy run merges its groups by phase index, a faulted one appends
+/// them group after group.
+#[test]
+fn empty_plan_matches_healthy_for_every_proposal() {
+    let small = ProblemParams::new(13, 2);
+    let on = |proposal, cfg: (usize, usize, usize, usize), problem| {
+        ScanRequest::new(Add, problem)
+            .proposal(proposal)
+            .devices(NodeConfig::new(cfg.0, cfg.1, cfg.2, cfg.3).unwrap())
+    };
+    let cases = [
+        ("sp", ScanRequest::new(Add, small)),
+        ("mps", on(Proposal::Mps, (2, 2, 1, 1), small)),
+        (
+            "mps-pipelined",
+            on(Proposal::Mps, (4, 4, 1, 1), small).pipeline(PipelinePolicy::pipelined(2)),
+        ),
+        ("mppc", on(Proposal::Mppc, (4, 2, 2, 1), small)),
+        ("multinode", on(Proposal::MpsMultinode, (2, 2, 1, 2), ProblemParams::new(14, 1))),
+    ];
+    for (name, request) in cases {
+        let elems = if name == "multinode" { 1 << 15 } else { small.total_elems() };
+        let input = pseudo(elems, 17);
+        let healthy = request.clone().run(&input).unwrap();
+        let faulted = request.faults(FaultPlan::none()).run(&input).unwrap();
+        assert_eq!(faulted.data, healthy.data, "{name}");
+        assert_eq!(
+            faulted.report.makespan.to_bits(),
+            healthy.report.makespan.to_bits(),
+            "{name}: an empty plan must reduce to the healthy schedule exactly"
+        );
+        assert_eq!(faulted.report.label, format!("{} [faulted]", healthy.report.label));
+        assert!(healthy.faults.is_none(), "{name}");
+        assert!(faulted.faults.expect("faulted runs carry a report").events.is_empty(), "{name}");
+        let healthy_rows = healthy.report.graph.unwrap().phase_labels().to_vec();
+        let faulted_rows = faulted.report.graph.unwrap().phase_labels().to_vec();
+        if name == "mppc" {
+            // These row counts pin the two MP-PC graph layouts as the code
+            // keeps them today; no outside requirement fixes them. Choosing
+            // one layout is an open ROADMAP item, and that change updates
+            // these two lines.
+            assert_eq!(healthy_rows.len(), 5, "healthy MP-PC merges its two groups' rows");
+            assert_eq!(faulted_rows.len(), 10, "faulted MP-PC keeps each group's rows");
+        } else {
+            assert_eq!(faulted_rows, healthy_rows, "{name}");
+        }
+    }
+}
+
+/// A plan that names the same GPU twice for one sub-batch evicts it once:
+/// one `GpuEvicted` event, and the same data, schedule and replan as a
+/// plan that names it once.
+#[test]
+fn a_duplicated_eviction_is_recorded_once() {
+    let problem = ProblemParams::new(13, 2);
+    let input = pseudo(problem.total_elems(), 19);
+    let run = |plan: FaultPlan| {
+        ScanRequest::new(Add, problem)
+            .proposal(Proposal::Mps)
+            .devices(NodeConfig::new(4, 4, 1, 1).unwrap())
+            .faults(plan)
+            .run(&input)
+            .unwrap()
+    };
+    let once = run(FaultPlan::new(1).evict_gpu(1, 0));
+    let twice = run(FaultPlan::new(1).evict_gpu(1, 0).evict_gpu(1, 0));
+    let events = &twice.faults.as_ref().unwrap().events;
+    let evictions: Vec<_> =
+        events.iter().filter(|e| matches!(e, FaultEvent::GpuEvicted { .. })).collect();
+    assert_eq!(evictions, [&FaultEvent::GpuEvicted { gpu: 1, at_sub_batch: 0 }]);
+    assert_eq!(twice.data, once.data);
+    assert_eq!(twice.report.makespan.to_bits(), once.report.makespan.to_bits());
+    let replan = |events: &[FaultEvent]| {
+        events.iter().find(|e| matches!(e, FaultEvent::Replanned { .. })).cloned()
+    };
+    assert_eq!(
+        replan(events),
+        Some(FaultEvent::Replanned {
+            from_gpus: vec![0, 1, 2, 3],
+            to_gpus: vec![0, 2],
+            sub_batch: 0
+        })
+    );
+    assert_eq!(replan(events), replan(&once.faults.as_ref().unwrap().events));
+}
+
+/// With fewer problems than network groups, MP-PC runs only some groups;
+/// a throttle on a GPU of an idle group changes nothing and is not
+/// reported.
+#[test]
+fn mppc_reports_throttles_only_on_gpus_it_runs() {
+    // One problem over two networks: one group, on GPUs 0 and 1.
+    let problem = ProblemParams::new(14, 0);
+    let input = pseudo(problem.total_elems(), 23);
+    let request = ScanRequest::new(Add, problem)
+        .proposal(Proposal::Mppc)
+        .devices(NodeConfig::new(4, 2, 2, 1).unwrap());
+    let healthy = request.clone().run(&input).unwrap();
+    let idle = request.clone().faults(FaultPlan::new(1).throttle_gpu(4, 3.0)).run(&input).unwrap();
+    assert!(idle.faults.unwrap().events.is_empty(), "GPU 4 runs nothing");
+    assert_eq!(idle.report.makespan.to_bits(), healthy.report.makespan.to_bits());
+    let busy = request.faults(FaultPlan::new(1).throttle_gpu(0, 3.0)).run(&input).unwrap();
+    assert_eq!(busy.faults.unwrap().events, [FaultEvent::GpuThrottled { gpu: 0, factor: 3.0 }]);
+    assert!(busy.report.makespan > healthy.report.makespan);
+}
