@@ -10,14 +10,22 @@
 //! redundancy.
 //!
 //! [`PlanCache`] memoizes the built [`PipelineRun`]/[`RunReport`] per
-//! [`CacheKey`]. On a hit the cached graph is replayed and the functional
-//! result is produced by the CPU reference scan — which the simulated
-//! pipelines match exactly (pinned by `verify_batch` and the serving bit-
-//! identity tests). Each entry self-validates on its cold miss: the
-//! simulated output is compared against the reference, and an entry whose
-//! operator does not reproduce the reference bit-for-bit is marked
-//! non-replayable and never serves a hit, so cached and cold outputs are
-//! always bit-identical.
+//! [`CacheKey`], and a stored plan serves two different replays:
+//!
+//! * **Schedule replay** — the graph, its resource remap and `gpus_used`
+//!   ([`PlannedLaunch::into_hit`]). None of these depend on element
+//!   values, so every stored plan replays its schedule, whatever its
+//!   operator.
+//! * **Data replay** — returning the CPU reference scan as the plan's
+//!   functional output ([`PlannedLaunch::run`], a cached
+//!   [`ScanRequest`](crate::request::ScanRequest)). Each entry
+//!   self-validates on its cold build: the simulated output is compared
+//!   against the reference, and only an entry whose operator reproduces
+//!   the reference bit-for-bit is *reference-exact*. A data consumer on a
+//!   non-exact entry (e.g. the gated recurrence over `f64`, whose
+//!   simulated float bits follow the pipeline's association order) runs
+//!   the simulation cold instead, so cached and cold outputs are always
+//!   bit-identical — but the stored entry is kept as it is, never rebuilt.
 //!
 //! Keying rules:
 //! * everything the cost model can see is in the key — proposal tag,
@@ -212,11 +220,12 @@ pub struct CacheKey {
     pub elem_bytes: usize,
     /// Operator fingerprint (`type_name` of the `ScanOp` impl). Two
     /// operators on the same lease shape must not share a retargeted plan:
-    /// the memoized `replayable` verdict and the serving layer's response
-    /// memo are both operator-dependent.
+    /// the memoized `reference_exact` verdict and the serving layer's
+    /// response memo are both operator-dependent.
     pub op: &'static str,
     /// Element-type fingerprint (`type_name` of `T`). `elem_bytes` alone
-    /// would alias e.g. `i32` and `f32`, whose replayability differs.
+    /// would alias e.g. `i32` and `f32`, whose reference exactness
+    /// differs.
     pub elem: &'static str,
     /// Pipeline sub-batch count.
     pub batches: usize,
@@ -262,8 +271,10 @@ pub struct CachedPlan {
     /// the domain of a hit's remap table.
     pub(crate) resources: Vec<Resource>,
     /// Whether the cold run's simulated output matched the CPU reference
-    /// bit-for-bit; entries that did not never serve hits.
-    pub(crate) replayable: bool,
+    /// bit-for-bit. Guards only *data* replay: a consumer that wants the
+    /// functional result runs cold on a non-exact entry. The schedule
+    /// (graph, remap, `gpus_used`) replays either way.
+    pub(crate) reference_exact: bool,
     /// Lease paths: the GPU ids the cold run was granted, in grant order.
     /// A hit on a topologically equivalent lease derives its resource
     /// remap from `lease_ids[i] -> actual_ids[i]`. Empty elsewhere.
@@ -284,7 +295,7 @@ impl Clone for CachedPlan {
             gpus_used: self.gpus_used.clone(),
             graph: self.graph.clone(),
             resources: self.resources.clone(),
-            replayable: self.replayable,
+            reference_exact: self.reference_exact,
             lease_ids: self.lease_ids.clone(),
             lease_stream: self.lease_stream,
             retargets: Mutex::new(self.retargets.lock().expect("plan cache poisoned").clone()),
@@ -292,12 +303,16 @@ impl Clone for CachedPlan {
     }
 }
 
-/// Hit/miss/bypass accounting, exact per lookup.
+/// Hit/miss/bypass accounting, exact per consumed launch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups served from a replayable cached plan.
+    /// Launches that replayed a stored plan's schedule without a build:
+    /// every [`PlannedLaunch::into_hit`] that succeeded, plus data
+    /// consumers served from a reference-exact entry.
     pub hits: u64,
-    /// Lookups that ran cold (no entry, or a non-replayable one).
+    /// Launches that built cold: no entry for the shape yet, or a data
+    /// consumer on an entry that is not reference-exact (it needs the
+    /// simulated bits).
     pub misses: u64,
     /// Runs that skipped the cache entirely (active `FaultPlan`).
     pub bypasses: u64,
@@ -305,12 +320,8 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    map: HashMap<CacheKey, Arc<CachedPlan>, FxBuildHasher>,
-    hits: u64,
-    misses: u64,
-}
+/// One bucket of the sharded plan map.
+type Bucket = Mutex<HashMap<CacheKey, Arc<CachedPlan>, FxBuildHasher>>;
 
 /// Bucket count of the sharded cache map. A small power of two: enough
 /// that concurrent serving shards rarely contend on one lock, cheap enough
@@ -326,7 +337,9 @@ const CACHE_BUCKETS: usize = 8;
 /// sections are map lookups only, never simulation.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    buckets: [Mutex<Inner>; CACHE_BUCKETS],
+    buckets: [Bucket; CACHE_BUCKETS],
+    hits: AtomicU64,
+    misses: AtomicU64,
     bypasses: AtomicU64,
 }
 
@@ -338,22 +351,23 @@ impl PlanCache {
 
     /// The bucket `key` lives in: the same Fx hash the bucket's map uses,
     /// folded onto the bucket count.
-    fn bucket(&self, key: &CacheKey) -> &Mutex<Inner> {
+    fn bucket(&self, key: &CacheKey) -> &Bucket {
         let h = FxBuildHasher.hash_one(key);
         &self.buckets[(h as usize) % CACHE_BUCKETS]
     }
 
-    /// Current accounting, summed over the buckets.
+    /// Current accounting; `entries` is summed over the buckets.
     pub fn stats(&self) -> CacheStats {
-        let mut stats =
-            CacheStats { bypasses: self.bypasses.load(Ordering::Relaxed), ..CacheStats::default() };
-        for bucket in &self.buckets {
-            let inner = bucket.lock().expect("plan cache poisoned");
-            stats.hits += inner.hits;
-            stats.misses += inner.misses;
-            stats.entries += inner.map.len();
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            bypasses: self.bypasses.load(Ordering::Relaxed),
+            entries: self
+                .buckets
+                .iter()
+                .map(|b| b.lock().expect("plan cache poisoned").len())
+                .sum(),
         }
-        stats
     }
 
     /// Record a deliberate cache bypass (a faulted run).
@@ -361,17 +375,17 @@ impl PlanCache {
         self.bypasses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Look `key` up, counting a hit only when a replayable plan is found
-    /// (anything else is a miss and the caller runs cold).
-    pub(crate) fn lookup(&self, key: &CacheKey) -> Option<Arc<CachedPlan>> {
-        let mut inner = self.bucket(key).lock().expect("plan cache poisoned");
-        let hit = inner.map.get(key).filter(|p| p.replayable).cloned();
-        if hit.is_some() {
-            inner.hits += 1;
-        } else {
-            inner.misses += 1;
-        }
-        hit
+    /// The plan stored under `key`, exact or not. Uncounted: the caller
+    /// records a hit or a miss with [`PlanCache::record`] once it knows
+    /// whether it replays the plan or builds cold.
+    pub(crate) fn get(&self, key: &CacheKey) -> Option<Arc<CachedPlan>> {
+        self.bucket(key).lock().expect("plan cache poisoned").get(key).cloned()
+    }
+
+    /// Count one launch: a replay without a build (`hit`) or a cold build.
+    pub(crate) fn record(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Store the plan a cold run produced. First write wins; a concurrent
@@ -380,7 +394,6 @@ impl PlanCache {
         self.bucket(&key)
             .lock()
             .expect("plan cache poisoned")
-            .map
             .entry(key)
             .or_insert_with(|| Arc::new(plan));
     }
@@ -507,15 +520,17 @@ pub struct PlanHit {
 }
 
 /// A planned launch: one cache consultation, resolved into either a
-/// replayable [`PlanHit`] or the obligation to run cold.
+/// stored plan to replay or the obligation to run cold.
 ///
 /// Returned by [`PlanCache::plan`]. Callers that only need the execution
 /// *shape* (the serving engine, which admits the graph into a fleet
-/// timeline and may skip the data path entirely) take the hit via
-/// [`PlannedLaunch::into_hit`]; callers that want the functional result
-/// call [`PlannedLaunch::run`], which replays a hit or runs cold and
-/// memoizes the plan as it finishes — one call, no
-/// lookup-then-memoize dance.
+/// timeline and computes responses off the CPU reference itself) take the
+/// schedule via [`PlannedLaunch::into_hit`], which succeeds for every
+/// stored plan; callers that want the functional result call
+/// [`PlannedLaunch::run`], which replays a reference-exact plan or runs
+/// cold, memoizing the plan if the shape was new — one call, no
+/// lookup-then-memoize dance. The launch is counted in [`CacheStats`]
+/// when it is consumed, as a hit or a miss.
 #[derive(Debug)]
 pub struct PlannedLaunch<'a, T: Scannable, O: ScanOp<T>> {
     cache: &'a PlanCache,
@@ -526,8 +541,9 @@ pub struct PlannedLaunch<'a, T: Scannable, O: ScanOp<T>> {
     tuple: SplkTuple,
     kind: ScanKind,
     policy: &'a PipelinePolicy,
-    /// Owned copy of the lookup key — populated only on a miss (the cold
-    /// run needs it for memoization); hits never clone the scratch key.
+    /// Owned copy of the lookup key — populated only when no plan is
+    /// stored (the cold run needs it for memoization); launches that find
+    /// a plan never clone the scratch key.
     key: Option<CacheKey>,
     plan: Option<Arc<CachedPlan>>,
     remap: RemapTable,
@@ -536,8 +552,8 @@ pub struct PlannedLaunch<'a, T: Scannable, O: ScanOp<T>> {
 }
 
 impl PlanCache {
-    /// Plan a lease launch: one cache lookup (counted as a hit or a miss),
-    /// with the hit's resource remap resolved against `lease`.
+    /// Plan a lease launch: one cache lookup, with a stored plan's
+    /// resource remap resolved against `lease`.
     ///
     /// The remap argument: the cached plan and the incoming lease have
     /// equal pairwise link-class matrices (key equality guarantees it), so
@@ -569,7 +585,7 @@ impl PlanCache {
             // lookup and let `run` surface `scan_on_lease`'s
             // `InvalidConfig` cold.
             let plan =
-                if lease.validate_link_classes(fabric).is_err() { None } else { self.lookup(key) };
+                if lease.validate_link_classes(fabric).is_err() { None } else { self.get(key) };
             let (remap, gpus_used) = match &plan {
                 None => (empty_remap(), Arc::from([])),
                 Some(plan) => {
@@ -660,48 +676,53 @@ impl CachedPlan {
 }
 
 impl<T: Scannable, O: ScanOp<T>> PlannedLaunch<'_, T, O> {
-    /// Whether the cache had a replayable plan for this shape.
+    /// Whether the cache holds a plan for this shape, i.e. whether
+    /// [`PlannedLaunch::into_hit`] succeeds.
     pub fn is_hit(&self) -> bool {
         self.plan.is_some()
     }
 
-    /// Take the hit for zero-copy admission, or get the launch back to
-    /// [`PlannedLaunch::run`] cold.
+    /// Take the stored plan's schedule for zero-copy admission (counted as
+    /// a hit), or get the launch back to [`PlannedLaunch::run`] cold.
+    /// Succeeds for every stored plan, reference-exact or not: the graph,
+    /// remap and `gpus_used` do not depend on element values.
     // The Err variant hands the whole launch back on a miss by design:
     // it moves once, straight into `run`, never across a hot boundary.
     #[allow(clippy::result_large_err)]
     pub fn into_hit(self) -> Result<PlanHit, Self> {
         match self.plan {
-            Some(ref plan) => Ok(PlanHit {
-                graph: plan.graph.clone(),
-                remap: self.remap,
-                gpus_used: self.gpus_used,
-            }),
+            Some(ref plan) => {
+                self.cache.record(true);
+                Ok(PlanHit {
+                    graph: plan.graph.clone(),
+                    remap: self.remap,
+                    gpus_used: self.gpus_used,
+                })
+            }
             None => Err(self),
         }
     }
 
-    /// Materialize a hit as a standalone [`PipelineRun`]: clone the arena
-    /// graph and rewrite its resources through the remap table.
-    fn replay(&self) -> Option<(PipelineRun, Vec<usize>)> {
-        let plan = self.plan.as_ref()?;
+    /// Materialize `plan`'s schedule as a standalone [`PipelineRun`]:
+    /// clone the arena graph and rewrite its resources through the remap
+    /// table.
+    fn replay(&self, plan: &CachedPlan) -> PipelineRun {
         let mut graph = (*plan.graph).clone();
         if !self.remap.is_empty() {
             graph.remap_resources(|r| remap_lookup(&self.remap, *r));
         }
-        Some((
-            PipelineRun {
-                graph,
-                timeline: plan.report.timeline.clone(),
-                makespan: plan.report.makespan,
-            },
-            self.gpus_used.to_vec(),
-        ))
+        PipelineRun {
+            graph,
+            timeline: plan.report.timeline.clone(),
+            makespan: plan.report.makespan,
+        }
     }
 
-    /// Execute the launch: replay the hit (functional result from the CPU
-    /// reference, bit-identical to the simulated pipelines) or run cold
-    /// through [`scan_on_lease`] and memoize the plan on finish.
+    /// Execute the launch: replay a reference-exact plan (functional
+    /// result from the CPU reference, bit-identical to the simulated
+    /// pipelines) or run cold through [`scan_on_lease`]. A cold run of a
+    /// new shape memoizes its plan; a cold run forced by a stored plan
+    /// that is not reference-exact leaves that plan as it is.
     ///
     /// Hit or miss, the returned [`LeaseRun`] is bit-identical to what
     /// [`scan_on_lease`] would produce for the same arguments.
@@ -709,10 +730,16 @@ impl<T: Scannable, O: ScanOp<T>> PlannedLaunch<'_, T, O> {
     /// # Errors
     /// Propagates [`scan_on_lease`]'s errors on a cold run.
     pub fn run(self, op: O, input: &[T]) -> ScanResult<LeaseRun<T>> {
-        if let Some((run, gpus_used)) = self.replay() {
+        if let Some(plan) = self.plan.as_ref().filter(|p| p.reference_exact) {
+            self.cache.record(true);
             let data = reference_result(op, self.problem, input, self.kind);
-            return Ok(LeaseRun { data, run, gpus_used });
+            return Ok(LeaseRun {
+                data,
+                run: self.replay(plan),
+                gpus_used: self.gpus_used.to_vec(),
+            });
         }
+        self.cache.record(false);
         let cold = scan_on_lease(
             op,
             self.tuple,
@@ -724,8 +751,10 @@ impl<T: Scannable, O: ScanOp<T>> PlannedLaunch<'_, T, O> {
             self.kind,
             self.policy,
         )?;
-        let key = self.key.expect("cold runs own their key");
-        memoize_cold(self.cache, key, self.lease, op, self.problem, input, self.kind, &cold);
+        // Only a launch that found no plan owns its key.
+        if let Some(key) = self.key {
+            memoize_cold(self.cache, key, self.lease, op, self.problem, input, self.kind, &cold);
+        }
         Ok(cold)
     }
 }
@@ -744,7 +773,7 @@ fn memoize_cold<T: Scannable, O: ScanOp<T>>(
     kind: ScanKind,
     cold: &LeaseRun<T>,
 ) {
-    let replayable = cold.data == reference_result(op, problem, input, kind);
+    let reference_exact = cold.data == reference_result(op, problem, input, kind);
     let report = RunReport::from_run("Scan-Lease", problem.total_elems(), cold.run.clone());
     let mut resources: Vec<Resource> = Vec::new();
     for node in cold.run.graph.nodes() {
@@ -761,7 +790,7 @@ fn memoize_cold<T: Scannable, O: ScanOp<T>>(
             graph: Arc::new(cold.run.graph.clone()),
             resources,
             gpus_used: cold.gpus_used.as_slice().into(),
-            replayable,
+            reference_exact,
             lease_ids: lease.granted().to_vec(),
             lease_stream: lease.stream(),
             retargets: Mutex::new(Vec::new()),

@@ -215,8 +215,10 @@ impl<O: Copy> ScanRequest<O> {
     /// Consult (and populate) a shared [`PlanCache`]: when this request's
     /// shape has run before, the memoized execution graph is replayed
     /// instead of rebuilt and the output is bit-identical to a cold run.
-    /// Requests with an active fault plan bypass the cache entirely (and
-    /// are counted in [`CacheStats`](crate::cache::CacheStats)).
+    /// A shape whose simulated output is not reference-exact (see
+    /// [`crate::cache`]) still runs cold every time, since the request
+    /// returns data. Requests with an active fault plan bypass the cache
+    /// entirely (and are counted in [`CacheStats`](crate::cache::CacheStats)).
     pub fn plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
         self.plan_cache = Some(cache);
         self
@@ -370,11 +372,17 @@ impl<O: Copy> ScanRequest<O> {
                     spec: DeviceKey::of(&device),
                     fabric: cfg.map(|c| FabricKey::of(&fabric(c.m()))),
                 };
-                if let Some(plan) = cache.lookup(&key) {
+                // A reference-exact plan returns the CPU reference as its
+                // data; any other runs cold for the simulated bits. Only a
+                // new shape is memoized.
+                let stored = cache.get(&key);
+                if let Some(plan) = stored.as_ref().filter(|p| p.reference_exact) {
+                    cache.record(true);
                     let data = crate::cache::reference_result(op, problem, input, kind);
                     return Ok(self.traced(ScanOutput::new(data, plan.report.clone())));
                 }
-                Some((cache, key))
+                cache.record(false);
+                stored.is_none().then_some((cache, key))
             }
             (Some(cache), Some(_)) => {
                 cache.note_bypass();
@@ -416,7 +424,8 @@ impl<O: Copy> ScanRequest<O> {
         }?;
 
         if let Some((cache, key)) = cached {
-            let replayable = out.data == crate::cache::reference_result(op, problem, input, kind);
+            let reference_exact =
+                out.data == crate::cache::reference_result(op, problem, input, kind);
             cache.insert(
                 key,
                 CachedPlan {
@@ -426,7 +435,7 @@ impl<O: Copy> ScanRequest<O> {
                     graph: std::sync::Arc::new(interconnect::ExecGraph::new()),
                     resources: Vec::new(),
                     gpus_used: std::sync::Arc::from([]),
-                    replayable,
+                    reference_exact,
                     lease_ids: Vec::new(),
                     lease_stream: 0,
                     retargets: std::sync::Mutex::new(Vec::new()),

@@ -744,7 +744,8 @@ impl Server {
                 debug_assert_eq!(input.len(), problem.total_elems());
                 let leased = match cold_plan {
                     // A cache miss runs cold and memoizes the plan as it
-                    // finishes; the next launch of this shape hits.
+                    // finishes; the next launch of this shape hits, for
+                    // every operator kind.
                     Some(planned) => planned.run(op, input)?,
                     None => scan_on_lease(
                         op,
@@ -764,10 +765,10 @@ impl Server {
                 // bit-identical (the cache layer self-validates the
                 // simulated output), and for float kinds the reference
                 // order is the canonical answer the hit path reproduces.
-                // Even on a plan miss (e.g. float kinds whose simulated
-                // bits aren't replayable, so their plans are never cached)
-                // the response itself memoizes: warm members are stepped
-                // over, each cold one hashes its own slice of the input.
+                // On this cold path (a shape's first launch, or the plan
+                // cache off) the response itself still memoizes: warm
+                // members are stepped over, each cold one hashes its own
+                // slice of the input.
                 let mut memo = self
                     .config
                     .plan_cache
@@ -1097,14 +1098,12 @@ mod tests {
                 let warm = server.cache_stats();
                 let report = server.run(&window(op, 1000)).unwrap();
                 let stats = server.cache_stats();
-                if op == OpKind::GatedF64 {
-                    // Gated plans never replay (their simulated float bits
-                    // differ from the reference order), so they run cold.
-                    assert_eq!(stats.hits, 0, "{op}");
-                } else {
-                    assert_eq!(stats.misses, warm.misses, "{op}: the second window only hits");
-                    assert_eq!(stats.hits - warm.hits, report.launches as u64, "{op}");
-                }
+                // Every kind replays its plans' schedules, the gated
+                // recurrence included: a plan's graph does not depend on
+                // element values, whether or not its simulated bits match
+                // the reference order.
+                assert_eq!(stats.misses, warm.misses, "{op}: the second window only hits");
+                assert_eq!(stats.hits - warm.hits, report.launches as u64, "{op}");
                 assert_eq!(server.response_stats().served, 0, "{op}: fresh ids miss the memo");
                 assert_eq!(report.completions.len(), 33);
                 assert!(report.completions.iter().any(|c| c.coalesced == 3), "{op}");

@@ -133,8 +133,8 @@ fn scan_kind_is_part_of_the_key() {
 }
 
 /// Floating-point runs stay correct through the cache: the self-validation
-/// on the cold miss decides whether the shape is replayable, and either way
-/// a later run is bit-identical to a cold one.
+/// on the cold miss decides whether the shape's plan is reference-exact,
+/// and either way a later run is bit-identical to a cold one.
 #[test]
 fn float_runs_stay_bit_identical_to_cold_runs() {
     let cache = Arc::new(PlanCache::new());
@@ -350,4 +350,161 @@ fn arena_retarget_is_bit_identical_across_equivalent_leases() {
         rs
     };
     assert_eq!(claims(graph), claims(cold_graph), "remap must land on the actual lease");
+}
+
+/// Gated-recurrence input over `f64` affine pairs with gates near 1.0 and
+/// non-dyadic tokens, so the pipeline's association order rounds
+/// differently from the sequential reference.
+fn pseudo_gated(n: usize, salt: u64) -> Vec<AffinePair<f64>> {
+    (0..n as u64)
+        .map(|i| {
+            let r = (i ^ salt).wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let gate = 0.999 + 0.001 * ((r >> 20) % 1000) as f64 / 1000.0;
+            let token = ((r >> 40) % 257) as f64 / 100.0 - 1.3;
+            AffinePair::new(gate, token)
+        })
+        .collect()
+}
+
+fn gated_bits(v: &[AffinePair<f64>]) -> Vec<(u64, u64)> {
+    v.iter().map(|p| (p.a.to_bits(), p.b.to_bits())).collect()
+}
+
+/// Every row of a problem-major batch scanned sequentially.
+fn sequential_reference(problem: ProblemParams, input: &[AffinePair<f64>]) -> Vec<AffinePair<f64>> {
+    input
+        .chunks(problem.problem_size())
+        .flat_map(|row| multigpu_scan::kernels::reference_inclusive(GatedOp, row))
+        .collect()
+}
+
+/// Schedule replay is data-independent: a gated-recurrence plan built cold
+/// on input A replays its schedule for input B on a topologically
+/// equivalent lease, even though its simulated float bits are not the
+/// reference's. Admitting that hit into a fleet timeline (twice, so the
+/// second admission contends with the first) must equal admitting a cold
+/// build of B on the actual lease — every node's start/finish bits and
+/// resources, the makespan and `gpus_used`. Data consumers are unchanged:
+/// `PlannedLaunch::run` on such a plan still simulates cold and returns
+/// the cold run's bits, without storing a second plan.
+#[test]
+fn gated_plans_replay_their_schedule_for_any_input() {
+    use multigpu_scan::fabric::{empty_remap, FleetTimeline};
+    use multigpu_scan::scan::{scan_on_lease, GpuLease, LeaseRun, ScanKind};
+
+    let device = DeviceSpec::tesla_k80();
+    let fabric = Fabric::tsubame_kfc(1);
+    let tuple = SplkTuple::kepler_premises(0);
+    let policy = PipelinePolicy::default();
+    // `(lease A, lease B)`: same width and link classes, different GPU ids
+    // and stream (the node's two PCIe networks hold GPUs 0-3 and 4-7).
+    let leases: [(&[usize], &[usize]); 3] =
+        [(&[0], &[6]), (&[0, 1], &[6, 7]), (&[0, 1, 2, 3], &[4, 5, 6, 7])];
+    let cache = PlanCache::new();
+    let mut shapes = 0;
+    for n in 10..=12 {
+        for g in 0..=3 {
+            let problem = ProblemParams::new(n, g);
+            let a = pseudo_gated(problem.total_elems(), 1);
+            let b = pseudo_gated(problem.total_elems(), 2);
+            for (ids_a, ids_b) in leases {
+                let ctx = format!("n={n} g={g} width={}", ids_a.len());
+                let lease_a = GpuLease::new(ids_a.to_vec(), 0).unwrap();
+                let lease_b = GpuLease::new(ids_b.to_vec(), 3).unwrap();
+                let plan = |lease| {
+                    cache.plan::<AffinePair<f64>, GatedOp>(
+                        &device,
+                        &fabric,
+                        lease,
+                        problem,
+                        tuple,
+                        ScanKind::Inclusive,
+                        &policy,
+                    )
+                };
+                let built = plan(&lease_a).run(GatedOp, &a).unwrap();
+                assert_ne!(
+                    gated_bits(&built.data),
+                    gated_bits(&sequential_reference(problem, &a)),
+                    "{ctx}: the plan must not be reference-exact"
+                );
+                let cold: LeaseRun<AffinePair<f64>> = scan_on_lease(
+                    GatedOp,
+                    tuple,
+                    &device,
+                    &fabric,
+                    &lease_b,
+                    problem,
+                    &b,
+                    ScanKind::Inclusive,
+                    &policy,
+                )
+                .unwrap();
+
+                let hit =
+                    plan(&lease_b).into_hit().expect("every stored plan replays its schedule");
+                assert_eq!(*hit.gpus_used, *cold.gpus_used, "{ctx}");
+                let mut replayed = FleetTimeline::new();
+                let mut reference = FleetTimeline::new();
+                let cold_graph = Arc::new(cold.run.graph.clone());
+                for _ in 0..2 {
+                    let h = replayed.admit_shared(
+                        hit.graph.clone(),
+                        hit.remap.clone(),
+                        0.0,
+                        "r:".into(),
+                    );
+                    let c =
+                        reference.admit_shared(cold_graph.clone(), empty_remap(), 0.0, "r:".into());
+                    assert_eq!(h.start.to_bits(), c.start.to_bits(), "{ctx}");
+                    assert_eq!(h.finish.to_bits(), c.finish.to_bits(), "{ctx}");
+                }
+                assert_eq!(replayed.makespan().to_bits(), reference.makespan().to_bits(), "{ctx}");
+                let (hs, cs) = (replayed.schedule(), reference.schedule());
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&hs.start), bits(&cs.start), "{ctx}: node starts");
+                assert_eq!(bits(&hs.finish), bits(&cs.finish), "{ctx}: node finishes");
+                let (hg, cg) = (replayed.graph(), reference.graph());
+                assert_eq!(hg.nodes().len(), cg.nodes().len(), "{ctx}");
+                for (i, (h, c)) in hg.nodes().iter().zip(cg.nodes()).enumerate() {
+                    assert_eq!(h.resources, c.resources, "{ctx}: node {i} resources");
+                }
+
+                // A data consumer on the non-exact plan runs cold: the
+                // cold run's bits, schedule and GPUs, no new entry.
+                let consumed = plan(&lease_b).run(GatedOp, &b).unwrap();
+                assert_eq!(gated_bits(&consumed.data), gated_bits(&cold.data), "{ctx}");
+                assert_eq!(consumed.run.makespan.to_bits(), cold.run.makespan.to_bits(), "{ctx}");
+                assert_eq!(consumed.gpus_used, cold.gpus_used, "{ctx}");
+                shapes += 1;
+            }
+        }
+    }
+    // Per shape: the build and the data consumer miss, the schedule hits.
+    let stats = cache.stats();
+    assert_eq!((stats.hits, stats.misses, stats.entries), (shapes, 2 * shapes, shapes as usize));
+}
+
+/// A cached `ScanRequest` on a gated shape returns data, so it keeps
+/// running cold — bit-identical to an uncached run for every input — and
+/// stores the shape's plan once.
+#[test]
+fn cached_gated_requests_stay_bit_identical_to_cold_runs() {
+    let cache = Arc::new(PlanCache::new());
+    let problem = ProblemParams::new(12, 2);
+    let request = || {
+        ScanRequest::new(GatedOp, problem)
+            .proposal(Proposal::Mps)
+            .devices(NodeConfig::new(4, 4, 1, 1).unwrap())
+    };
+    for salt in [1, 2] {
+        let input = pseudo_gated(problem.total_elems(), salt);
+        let cold = request().run(&input).unwrap();
+        assert_ne!(gated_bits(&cold.data), gated_bits(&sequential_reference(problem, &input)));
+        let cached = request().plan_cache(cache.clone()).run(&input).unwrap();
+        assert_eq!(gated_bits(&cached.data), gated_bits(&cold.data), "salt {salt}");
+        assert_eq!(cached.report.makespan.to_bits(), cold.report.makespan.to_bits());
+    }
+    let stats = cache.stats();
+    assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 1));
 }

@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use multigpu_scan::prelude::*;
-use multigpu_scan::serve::ShardedReport;
+use multigpu_scan::serve::{Completion, ShardedReport};
 
 fn mixed_workload(seed: u64, count: usize) -> Vec<ServeRequest> {
     let mut spec = WorkloadSpec::mixed_ops_for(seed, count);
@@ -500,6 +500,95 @@ fn incremental_admission_matches_reference_engine() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// The plan-cache differential on a window shaped like the `shard-mixed`
+/// benchmark: 4 shards × 8 GPUs, EDF, hash placement with stealing, an
+/// SLO miss budget of 2, queues bounded at 4 (so requests are redirected
+/// and rejected) and `mixed_ops_for` with 8 tenants at a 2 µs gap. Two
+/// windows run on one router, the second repeating the first's requests.
+/// With the plan cache on and off, every request's checksum, output,
+/// dispatch/start/finish bits and GPUs agree, as do the rejection, steal
+/// and redirect sets, the rollup metrics and the exported trace bytes. The
+/// second window replays every plan's schedule — the gated recurrence's
+/// included, although its simulated float bits are not the reference's.
+#[test]
+fn plan_cache_on_and_off_serve_identical_shard_mixed_windows() {
+    let mut spec = WorkloadSpec::mixed_ops_for(7, 800);
+    spec.tenants = 8;
+    spec.mean_gap_us = 2;
+    let requests = spec.generate();
+    let router = |plan_cache: bool| {
+        let mut config = RouterConfig::new(4, Policy::Edf, 7);
+        config.gpus_per_shard = 8;
+        config.queue_capacity = Some(4);
+        config.slo = Some(SloConfig { miss_budget: 2 });
+        config.keep_outputs = true;
+        config.plan_cache = plan_cache;
+        config.threads = 1;
+        Router::new(config).unwrap()
+    };
+    let (cached, cold) = (router(true), router(false));
+    let misses =
+        |r: &ShardedReport| -> u64 { r.shards.iter().map(|s| s.report.cache_stats.misses).sum() };
+    let mut first_misses = 0;
+    for window in 0..2 {
+        let (a, b) = (cached.run(&requests).unwrap(), cold.run(&requests).unwrap());
+        let ctx = format!("window {window}");
+        let by_id = |r: &ShardedReport| -> BTreeMap<usize, (usize, Completion)> {
+            r.shards
+                .iter()
+                .flat_map(|s| {
+                    s.report.completions.iter().map(move |c| (c.request.id, (s.shard, c.clone())))
+                })
+                .collect()
+        };
+        let (ca, cb) = (by_id(&a), by_id(&b));
+        assert_eq!(ca.keys().collect::<Vec<_>>(), cb.keys().collect::<Vec<_>>(), "{ctx}");
+        for ((shard_a, x), (shard_b, y)) in ca.values().zip(cb.values()) {
+            let id = x.request.id;
+            assert_eq!(shard_a, shard_b, "{ctx}: request {id} shard");
+            assert_eq!(x.checksum, y.checksum, "{ctx}: request {id}");
+            assert!(x.output.is_some(), "{ctx}: request {id} keeps its output");
+            assert_eq!(x.output, y.output, "{ctx}: request {id}");
+            assert_eq!(x.dispatched.to_bits(), y.dispatched.to_bits(), "{ctx}: request {id}");
+            assert_eq!(x.started.to_bits(), y.started.to_bits(), "{ctx}: request {id}");
+            assert_eq!(x.finished.to_bits(), y.finished.to_bits(), "{ctx}: request {id}");
+            assert_eq!(x.gpus, y.gpus, "{ctx}: request {id}");
+        }
+        let rejected = |r: &ShardedReport| -> Vec<(usize, usize, u64)> {
+            r.rejections.iter().map(|j| (j.request.id, j.shard, j.time.to_bits())).collect()
+        };
+        let moved = |r: &ShardedReport| -> Vec<(Vec<usize>, usize, usize, usize)> {
+            r.shards
+                .iter()
+                .map(|s| (s.stolen_ids.clone(), s.steals_in, s.steals_out, s.redirects_in))
+                .collect()
+        };
+        assert_eq!(rejected(&a), rejected(&b), "{ctx}: rejections");
+        assert_eq!(moved(&a), moved(&b), "{ctx}: steals and redirects");
+        assert!(!a.rejections.is_empty(), "{ctx}: the bounded queues must reject");
+        assert!(a.shards.iter().any(|s| s.redirects_in > 0), "{ctx}: redirects in play");
+        assert!(a.shards.iter().any(|s| s.steals_in > 0), "{ctx}: steals in play");
+        assert_eq!(a.metrics.to_json(), b.metrics.to_json(), "{ctx}: rollup metrics");
+        assert!(
+            a.trace.chrome_trace_json() == b.trace.chrome_trace_json(),
+            "{ctx}: exported trace bytes"
+        );
+        assert!(
+            ca.values().any(|(_, c)| c.request.op == OpKind::GatedF64),
+            "{ctx}: gated launches served"
+        );
+        if window == 0 {
+            first_misses = misses(&a);
+        } else {
+            assert_eq!(
+                misses(&a),
+                first_misses,
+                "the second window's launches, gated included, all hit"
+            );
         }
     }
 }
