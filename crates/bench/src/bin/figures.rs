@@ -3,7 +3,7 @@
 //! ```text
 //! figures [--total-log2 N] [--n-lo N] [--no-verify] [--trace-dir DIR]
 //!         [--seed N] [--requests N] [--policy fifo|sjf|edf|all]
-//!         [--pool-gpus N] [--no-coalesce] [--shards N] [--threads N]
+//!         [--pool-gpus N] [--no-coalesce] [--shards N]
 //!         [--out DIR] [--workload FILE] [--op-mix]
 //!         [CMD...]
 //!
@@ -12,10 +12,10 @@
 //! ```
 //!
 //! `self` benchmarks the *simulator itself*: wall-clock throughput of the
-//! serving engine fast path (event-heap scheduler + plan cache + parallel
-//! block simulation) against the retained slow path (reference O(n²)
-//! scheduler, no cache, serial blocks), asserts both produce bit-identical
-//! results, and writes `BENCH_wall.json` to `--out`. See `docs/perf.md`.
+//! serving engine fast path (event-heap scheduler + plan cache) against
+//! the retained slow path (reference O(n²) scheduler, no cache), asserts
+//! both produce bit-identical results, and writes `BENCH_wall.json` to
+//! `--out`. See `docs/perf.md`.
 //!
 //! `trace` exports Chrome-trace JSON (`*.trace.json`, loadable in
 //! `chrome://tracing` or Perfetto) for the Fig. 9 Scan-MPS configurations
@@ -35,10 +35,7 @@
 //! sharded front-end router (N shards of `--pool-gpus` GPUs each, hash
 //! placement, work stealing on) and appends a `"sharded"` section to the
 //! JSON — the unsharded section stays byte-identical, so point `--out`
-//! elsewhere to keep the committed golden. `--threads N` sizes the
-//! router's worker pool (0 = one per core; 1 = the serial engine); every
-//! thread count produces byte-identical output, which CI pins by diffing
-//! `--threads 1` against the default. See `docs/sharding.md`.
+//! elsewhere to keep the committed golden. See `docs/sharding.md`.
 //!
 //! `bench-scan` runs a pinned set of single-scan configurations
 //! (independent of the sweep flags, so the output is byte-stable) and
@@ -135,10 +132,6 @@ fn main() {
                 i += 1;
                 serve_opts.shards = args[i].parse().expect("--shards takes an integer");
             }
-            "--threads" => {
-                i += 1;
-                serve_opts.threads = args[i].parse().expect("--threads takes an integer");
-            }
             "--out" => {
                 i += 1;
                 serve_opts.out = args[i].clone();
@@ -162,7 +155,7 @@ fn main() {
                 println!(
                     "figures [--total-log2 N] [--n-lo N] [--no-verify] [--trace-dir DIR] \
                      [--seed N] [--requests N] [--policy fifo|sjf|edf|all] [--pool-gpus N] \
-                     [--no-coalesce] [--shards N] [--threads N] [--out DIR] \
+                     [--no-coalesce] [--shards N] [--out DIR] \
                      [--workload FILE] [--op-mix] \
                      [--fabric-sweep] [--devices model:count,...] \
                      [--fabric pcie|nvlink|nvswitch|dgx1|dgx2] \
@@ -415,7 +408,6 @@ struct ServeOpts {
     pool_gpus: usize,
     coalesce: bool,
     shards: usize,
-    threads: usize,
     out: String,
     workload: Option<String>,
     op_mix: bool,
@@ -433,7 +425,6 @@ impl Default for ServeOpts {
             pool_gpus: 8,
             coalesce: true,
             shards: 1,
-            threads: 0,
             out: String::from("."),
             workload: None,
             op_mix: false,
@@ -544,16 +535,8 @@ fn serve(opts: &ServeOpts, trace_dir: &str) {
     // router as well, and append a "sharded" section to the JSON. The
     // unsharded section — and so the committed default golden — is
     // unaffected.
-    let sharded = (opts.shards > 1).then(|| {
-        sharded_windows(
-            &requests,
-            opts.seed,
-            opts.shards,
-            opts.pool_gpus,
-            opts.coalesce,
-            opts.threads,
-        )
-    });
+    let sharded = (opts.shards > 1)
+        .then(|| sharded_windows(&requests, opts.seed, opts.shards, opts.pool_gpus, opts.coalesce));
     if let Some(sharded) = &sharded {
         for (policy, report) in sharded {
             if selected.contains(policy) {
@@ -634,10 +617,10 @@ fn bench_scan(out: &str, fabric_sweep: bool) {
 /// Wall-clock self-benchmark of the serving engine's fast path.
 ///
 /// Runs the same seeded workload through the fast path (event-heap
-/// scheduler, plan cache, parallel block simulation — all defaults) and
-/// the retained slow path (reference O(n²) list scheduler, cache off,
-/// blocks forced serial), asserts the two windows are bit-identical, then
-/// times the scheduler alone on a ~20k-node synthetic layered DAG. Writes
+/// scheduler, plan cache — the defaults) and the retained slow path
+/// (reference O(n²) list scheduler, cache off), asserts the two windows
+/// are bit-identical, then times the scheduler alone on a ~20k-node
+/// synthetic layered DAG. Writes
 /// `BENCH_wall.json` to `--out`; the committed copy at the repo root is
 /// the CI baseline (the perf-smoke job fails below 0.5x of it).
 ///
@@ -655,7 +638,7 @@ fn bench_self(opts: &ServeOpts) {
     );
     let requests = WorkloadSpec::default_for(opts.seed, opts.requests).generate();
 
-    // Fast path: every default (heap scheduler, plan cache, parallel blocks).
+    // Fast path: every default (heap scheduler, plan cache).
     let t = Instant::now();
     let fast =
         Server::new(ServeConfig::new(Policy::Fifo, opts.seed)).run(&requests).expect("fast serve");
@@ -684,11 +667,9 @@ fn bench_self(opts: &ServeOpts) {
     let mut slow_cfg = ServeConfig::new(Policy::Fifo, opts.seed);
     slow_cfg.plan_cache = false;
     slow_cfg.reference_timings = true;
-    gpu_sim::force_serial_blocks(true);
     let t = Instant::now();
     let slow = Server::new(slow_cfg).run(&requests).expect("slow serve");
     let slow_s = t.elapsed().as_secs_f64();
-    gpu_sim::force_serial_blocks(false);
 
     assert_eq!(fast.completions.len(), slow.completions.len());
     assert_eq!(
@@ -808,58 +789,6 @@ fn bench_self(opts: &ServeOpts) {
         unit.nodes().len()
     );
 
-    // Parallel shard stepping: the same sharded window under the retained
-    // serial engine and under the worker pool. Byte-equality is asserted
-    // here (the differential suite proves it per-tick; this proves it on
-    // the benchmark workload too), then both are timed. The speedup is
-    // machine-dependent — on a single-core host the pool degrades to
-    // ~1.0x and the committed number says so honestly.
-    const PAR_SHARDS: usize = 4;
-    const PAR_THREADS: usize = 4;
-    const PAR_WINDOWS: usize = 5;
-    let run_sharded = |serial: bool| {
-        let mut config = scan_serve::RouterConfig::new(PAR_SHARDS, Policy::Fifo, opts.seed);
-        config.threads = if serial { 1 } else { PAR_THREADS };
-        scan_serve::Router::new(config)
-            .expect("valid shard topology")
-            .run(&requests)
-            .expect("sharded serve")
-    };
-    let serial_report = run_sharded(true);
-    let parallel_report = run_sharded(false);
-    assert_eq!(
-        serial_report.metrics.to_json(),
-        parallel_report.metrics.to_json(),
-        "parallel stepping must be byte-equal to serial"
-    );
-    assert_eq!(
-        serial_report.trace.chrome_trace_json(),
-        parallel_report.trace.chrome_trace_json(),
-        "parallel stepping must merge the same trace bytes"
-    );
-    let t = Instant::now();
-    for _ in 0..PAR_WINDOWS {
-        run_sharded(true);
-    }
-    let serial_s = t.elapsed().as_secs_f64() / PAR_WINDOWS as f64;
-    let t = Instant::now();
-    for _ in 0..PAR_WINDOWS {
-        run_sharded(false);
-    }
-    let parallel_s = t.elapsed().as_secs_f64() / PAR_WINDOWS as f64;
-    let serial_rps = requests.len() as f64 / serial_s;
-    let parallel_rps = requests.len() as f64 / parallel_s;
-    let parallel_speedup = serial_s / parallel_s;
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    println!(
-        "  sharded serial   : {serial_s:>8.3} s  ({serial_rps:>9.1} req/s)  \
-         {PAR_SHARDS} shards, 1 thread"
-    );
-    println!(
-        "  sharded parallel : {parallel_s:>8.3} s  ({parallel_rps:>9.1} req/s)  \
-         {PAR_SHARDS} shards, {PAR_THREADS} threads on {cores} core(s)"
-    );
-    println!("  speedup          : {parallel_speedup:>8.2}x  (byte-identical windows)");
     println!("  allocs/request   : {allocs_per_request:>8.2}  (steady memo-hit path)");
     // The steady path is allocation-free per request up to report
     // assembly: a memo-hit request may append to the completion log and
@@ -883,9 +812,6 @@ fn bench_self(opts: &ServeOpts) {
          \"admissions\": {},\n    \"graph_nodes\": {},\n    \"incremental_s\": {:.6},\n    \
          \"reference_s\": {:.6},\n    \"incremental_admissions_per_s\": {:.1},\n    \
          \"reference_admissions_per_s\": {:.1},\n    \"speedup\": {:.3}\n  }},\n  \
-         \"parallel\": {{\n    \"shards\": {},\n    \"threads\": {},\n    \"cores\": {},\n    \
-         \"serial_s\": {:.6},\n    \"parallel_s\": {:.6},\n    \"serial_rps\": {:.3},\n    \
-         \"parallel_rps\": {:.3},\n    \"speedup\": {:.3}\n  }},\n  \
          \"cache\": {{\n    \
          \"hits\": {},\n    \"misses\": {},\n    \"hit_rate\": {:.4},\n    \
          \"responses_served\": {},\n    \"allocs_per_request\": {:.3}\n  }}\n}}\n",
@@ -912,14 +838,6 @@ fn bench_self(opts: &ServeOpts) {
         incr_aps,
         ref_aps,
         admit_speedup,
-        PAR_SHARDS,
-        PAR_THREADS,
-        cores,
-        serial_s,
-        parallel_s,
-        serial_rps,
-        parallel_rps,
-        parallel_speedup,
         stats.hits,
         stats.misses,
         hit_rate,

@@ -41,19 +41,12 @@ pub fn serve_windows(
 
 /// Run `requests` through a `shards`-way [`Router`] under every
 /// [`Policy`] (hash placement, stealing on — the benchmark defaults).
-///
-/// `threads` selects the stepping engine ([`RouterConfig`] semantics:
-/// 0 = auto, 1 = serial). The report — and so the JSON — is
-/// byte-identical for every thread count; the knob only changes how the
-/// window is computed, which is exactly what CI's differential
-/// byte-compare pins.
 pub fn sharded_windows(
     requests: &[ServeRequest],
     seed: u64,
     shards: usize,
     gpus_per_shard: usize,
     coalesce: bool,
-    threads: usize,
 ) -> Vec<(Policy, ShardedReport)> {
     Policy::all()
         .iter()
@@ -61,7 +54,6 @@ pub fn sharded_windows(
             let mut config = RouterConfig::new(shards, policy, seed);
             config.gpus_per_shard = gpus_per_shard;
             config.coalesce = coalesce;
-            config.threads = threads;
             let router = Router::new(config).expect("valid shard topology");
             (policy, router.run(requests).expect("serve the sharded window"))
         })

@@ -40,7 +40,7 @@ fn committed_bench_serve_json_is_byte_identical() {
 fn committed_bench_serve_mixed_json_is_byte_identical() {
     let requests = WorkloadSpec::mixed_ops_for(7, 200).generate();
     let windows = serve_windows(&requests, 7, 8, true, &[], FabricPreset::Pcie);
-    let sharded = sharded_windows(&requests, 7, 4, 8, true, 0);
+    let sharded = sharded_windows(&requests, 7, 4, 8, true);
     let built =
         bench_serve_json(7, requests.len(), 8, true, &windows, Some((4, 8, sharded.as_slice())));
     assert_eq!(

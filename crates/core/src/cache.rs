@@ -256,8 +256,9 @@ pub(crate) struct RetargetEntry {
 /// makespan, counters) and which GPUs the plan settled on.
 #[derive(Debug)]
 pub struct CachedPlan {
-    /// The run report produced by the cold run (label, timeline, makespan,
-    /// execution graph).
+    /// The run report produced by the cold run (label, timeline, makespan;
+    /// the execution graph on proposal-keyed plans only — a lease plan
+    /// keeps its graph in the arena entry alone).
     pub report: RunReport,
     /// GPUs the plan actually used (lease paths; empty elsewhere). Shared
     /// storage so an identity hit hands the list out without copying.
@@ -761,7 +762,9 @@ impl<T: Scannable, O: ScanOp<T>> PlannedLaunch<'_, T, O> {
 
 /// Self-validate a cold run against the CPU reference and store its plan
 /// (first write wins). The arena entry is the cold run's graph, promoted
-/// into shared storage together with its distinct-resource list.
+/// into shared storage together with its distinct-resource list; it is
+/// the entry's only copy of the graph, as lease replays read the report's
+/// timeline and makespan alone.
 #[allow(clippy::too_many_arguments)]
 fn memoize_cold<T: Scannable, O: ScanOp<T>>(
     cache: &PlanCache,
@@ -774,7 +777,13 @@ fn memoize_cold<T: Scannable, O: ScanOp<T>>(
     cold: &LeaseRun<T>,
 ) {
     let reference_exact = cold.data == reference_result(op, problem, input, kind);
-    let report = RunReport::from_run("Scan-Lease", problem.total_elems(), cold.run.clone());
+    let report = RunReport {
+        label: "Scan-Lease".into(),
+        elements: problem.total_elems(),
+        timeline: cold.run.timeline.clone(),
+        makespan: cold.run.makespan,
+        graph: None,
+    };
     let mut resources: Vec<Resource> = Vec::new();
     for node in cold.run.graph.nodes() {
         for &r in &node.resources {

@@ -32,11 +32,11 @@ use crate::report::ScanOutput;
 /// to its own slice. Groups never share a stream or link, so they overlap
 /// fully in the schedule of the one graph the run is built into.
 ///
-/// A healthy run builds each group's subgraph on a scoped host thread and
-/// merges the subgraphs by phase index. Under `faults`, the groups are
-/// appended into the graph one after another instead, so a group that
-/// replans after an eviction keeps its extra `recovery:` phases as its own
-/// rows (index-matching could not align them); only that group replans.
+/// A healthy run builds each group's subgraph on its own and merges the
+/// subgraphs by phase index. Under `faults`, the groups are appended into
+/// the graph one after another instead, so a group that replans after an
+/// eviction keeps its extra `recovery:` phases as its own rows
+/// (index-matching could not align them); only that group replans.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_mppc<T: Scannable, O: ScanOp<T>>(
     op: O,
@@ -98,20 +98,10 @@ pub(crate) fn scan_mppc<T: Scannable, O: ScanOp<T>>(
     let mut graph = ExecGraph::new();
     match faults.as_mut() {
         None => {
-            let group_graphs: Vec<ScanResult<ExecGraph>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = group_runs
-                    .map(|((gpu_ids, group_input), out_chunk)| {
-                        scope.spawn(move || {
-                            let mut graph = ExecGraph::new();
-                            build(&mut graph, gpu_ids, group_input, out_chunk, None)?;
-                            Ok(graph)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("group thread panicked")).collect()
-            });
-            for group_graph in group_graphs {
-                graph.merge(group_graph?);
+            for ((gpu_ids, group_input), out_chunk) in group_runs {
+                let mut group_graph = ExecGraph::new();
+                build(&mut group_graph, gpu_ids, group_input, out_chunk, None)?;
+                graph.merge(group_graph);
             }
         }
         Some(injection) => {

@@ -2,12 +2,14 @@
 //! and the auxiliary-array exchange.
 //!
 //! A [`Worker`] owns one simulated GPU and its buffers (input portions,
-//! output, local auxiliary array, received offsets). Phases run on real
-//! host threads — one per GPU — and the phase's simulated duration is the
-//! maximum of the per-GPU times, matching the paper's phase-synchronous
-//! execution.
+//! output, local auxiliary array, received offsets). The simulated GPUs
+//! run a phase in parallel: the host steps them one after another on the
+//! calling thread, and the phase's simulated duration is the maximum of
+//! the per-GPU times, matching the paper's phase-synchronous execution.
+//! (Host threads per GPU cost more CPU in spawns than they save on
+//! serving-sized shapes; see `docs/perf.md` §3.)
 
-use gpu_sim::{CostCounters, DeviceSpec, Gpu, KernelStats, SimError, SimResult};
+use gpu_sim::{CostCounters, DeviceSpec, Gpu, KernelStats, SimResult};
 use interconnect::{
     strided_exchange_cost, CollectiveCost, ExecGraph, Fabric, FaultPlan, StridedPart,
 };
@@ -58,48 +60,31 @@ pub fn build_workers<T: Scannable>(
     }
     let n = plan.problem.problem_size();
     let g_total = plan.problem.batch();
-    // Workers share no state (each builds its own Gpu and copies its own
-    // portions), so they are constructed on one host thread apiece and
-    // merged back in `gpu_ids` order — same result as the old sequential
-    // loop, without serialising the per-GPU portion copies.
-    std::thread::scope(|s| {
-        let handles: Vec<_> = gpu_ids
-            .iter()
-            .enumerate()
-            .map(|(w, &gid)| {
-                s.spawn(move || {
-                    let gpu = Gpu::new(gid, device.clone());
-                    let mut local = Vec::with_capacity(plan.elems_per_gpu());
-                    for g in 0..g_total {
-                        let s = g * n + w * plan.portion;
-                        local.extend_from_slice(&input[s..s + plan.portion]);
-                    }
-                    let input_buf = gpu.alloc_from(&local)?;
-                    let output = gpu.alloc(local.len())?;
-                    let aux = gpu.alloc(plan.aux_local_len())?;
-                    let offsets = gpu.alloc(plan.aux_local_len())?;
-                    Ok(Worker {
-                        gpu,
-                        part: w,
-                        global_id: gid,
-                        input: input_buf,
-                        output,
-                        aux,
-                        offsets,
-                    })
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker builder panicked")).collect()
-    })
+    gpu_ids
+        .iter()
+        .enumerate()
+        .map(|(w, &gid)| {
+            let gpu = Gpu::new(gid, device.clone());
+            let mut local = Vec::with_capacity(plan.elems_per_gpu());
+            for g in 0..g_total {
+                let s = g * n + w * plan.portion;
+                local.extend_from_slice(&input[s..s + plan.portion]);
+            }
+            let input_buf = gpu.alloc_from(&local)?;
+            let output = gpu.alloc(local.len())?;
+            let aux = gpu.alloc(plan.aux_local_len())?;
+            let offsets = gpu.alloc(plan.aux_local_len())?;
+            Ok(Worker { gpu, part: w, global_id: gid, input: input_buf, output, aux, offsets })
+        })
+        .collect()
 }
 
-/// Run `f` on every worker concurrently (one host thread per GPU) and
-/// return each GPU's simulated time spent in the phase, in worker order.
+/// Run `f` on every worker and return each GPU's simulated time spent in
+/// the phase, in worker order.
 pub fn parallel_phase<T, F>(workers: &mut [Worker<T>], f: F) -> ScanResult<Vec<f64>>
 where
     T: Scannable,
-    F: Fn(&mut Worker<T>) -> SimResult<KernelStats> + Sync,
+    F: Fn(&mut Worker<T>) -> SimResult<KernelStats>,
 {
     parallel_phase_results(workers, f).into_iter().map(|r| r.map_err(ScanError::from)).collect()
 }
@@ -115,27 +100,21 @@ pub fn parallel_phase_counted<T, F>(
 ) -> ScanResult<Vec<(f64, CostCounters)>>
 where
     T: Scannable,
-    F: Fn(&mut Worker<T>) -> SimResult<KernelStats> + Sync,
+    F: Fn(&mut Worker<T>) -> SimResult<KernelStats>,
 {
-    std::thread::scope(|s| {
-        let handles: Vec<_> = workers
-            .iter_mut()
-            .map(|w| {
-                let f = &f;
-                s.spawn(move || {
-                    let before = w.gpu.elapsed();
-                    let counters_before = w.gpu.log().total_counters();
-                    f(w)?;
-                    let counters = w.gpu.log().total_counters().since(&counters_before);
-                    Ok::<_, SimError>((w.gpu.elapsed() - before, counters))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked").map_err(ScanError::from))
-            .collect()
-    })
+    // Every worker runs its part whatever the others return; the first
+    // error, in worker order, is the phase's.
+    let results: Vec<SimResult<_>> = workers
+        .iter_mut()
+        .map(|w| {
+            let before = w.gpu.elapsed();
+            let counters_before = w.gpu.log().total_counters();
+            f(w)?;
+            let counters = w.gpu.log().total_counters().since(&counters_before);
+            Ok((w.gpu.elapsed() - before, counters))
+        })
+        .collect();
+    results.into_iter().map(|r| r.map_err(ScanError::from)).collect()
 }
 
 /// Like [`parallel_phase`], but hand back every worker's individual result
@@ -145,22 +124,16 @@ where
 pub fn parallel_phase_results<T, F>(workers: &mut [Worker<T>], f: F) -> Vec<SimResult<f64>>
 where
     T: Scannable,
-    F: Fn(&mut Worker<T>) -> SimResult<KernelStats> + Sync,
+    F: Fn(&mut Worker<T>) -> SimResult<KernelStats>,
 {
-    std::thread::scope(|s| {
-        let handles: Vec<_> = workers
-            .iter_mut()
-            .map(|w| {
-                let f = &f;
-                s.spawn(move || {
-                    let before = w.gpu.elapsed();
-                    f(w)?;
-                    Ok(w.gpu.elapsed() - before)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
-    })
+    workers
+        .iter_mut()
+        .map(|w| {
+            let before = w.gpu.elapsed();
+            f(w)?;
+            Ok(w.gpu.elapsed() - before)
+        })
+        .collect()
 }
 
 /// Gather every worker's local auxiliary array into the root's global one

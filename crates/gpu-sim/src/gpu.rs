@@ -1,8 +1,6 @@
 //! The simulated GPU: device spec + global memory + event timeline +
 //! kernel launch engine.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use crate::block::BlockCtx;
 use crate::counters::CostCounters;
 use crate::device::DeviceSpec;
@@ -12,21 +10,6 @@ use crate::grid::LaunchConfig;
 use crate::memory::{DeviceBuffer, DeviceCopy, MemoryTracker};
 use crate::occupancy::{occupancy, Occupancy};
 use crate::timing::{KernelTime, TimingModel};
-
-/// Grids smaller than this run serially in [`Gpu::launch_blocks_on`]: the
-/// thread-spawn overhead dominates tiny launches.
-const PARALLEL_BLOCK_THRESHOLD: usize = 8;
-
-/// Process-wide switch forcing [`Gpu::launch_blocks_on`] onto the serial
-/// path — the `bench self` slow leg uses it to measure the pre-parallel
-/// engine. Results are bit-identical either way; this only moves wall-clock.
-static FORCE_SERIAL_BLOCKS: AtomicBool = AtomicBool::new(false);
-
-/// Force (or release) serial block execution. Benchmark surface only.
-#[doc(hidden)]
-pub fn force_serial_blocks(on: bool) {
-    FORCE_SERIAL_BLOCKS.store(on, Ordering::Relaxed);
-}
 
 /// Statistics returned by one kernel launch.
 #[derive(Debug, Clone)]
@@ -57,8 +40,7 @@ impl KernelStats {
 /// Blocks within a launch execute sequentially in row-major order
 /// (`by` outer, `bx` inner), which makes chained-scan algorithms (each block
 /// reading its predecessor's published aggregate) deterministic. Separate
-/// `Gpu`s are independent and `Send`, so a multi-GPU run can execute each
-/// GPU on its own host thread.
+/// `Gpu`s are independent and `Send`.
 #[derive(Debug)]
 pub struct Gpu {
     id: usize,
@@ -244,29 +226,26 @@ impl Gpu {
     ) -> SimResult<KernelStats>
     where
         T: DeviceCopy,
-        F: Fn(&mut BlockCtx<'_, T>, &mut [T]) + Sync,
+        F: Fn(&mut BlockCtx<'_, T>, &mut [T]),
     {
         self.launch_blocks_on(DEFAULT_STREAM, cfg, out, kernel)
     }
 
     /// Launch a kernel whose blocks are *independent* — no block reads
-    /// another block's output — and may therefore execute on parallel host
-    /// threads.
+    /// another block's output — each writing only its own window of `out`.
     ///
     /// `out` is the launch's output window, split evenly into one disjoint
     /// chunk per block in row-major flat block order (block `(bx, by)` gets
     /// chunk `by·gx + bx`); the kernel receives each block's chunk as its
     /// second argument and must address it block-locally. Every block gets
-    /// fresh zeroed shared memory and its own counter ledger; ledgers are
-    /// merged in flat block order (field-wise `u64` sums, so the totals
-    /// equal a serial run's exactly) and timing is derived from the merged
-    /// counters — results, counters, events and simulated times are all
-    /// bit-identical to running the same blocks sequentially through
-    /// [`Gpu::launch_on`].
+    /// fresh zeroed shared memory and counts into the launch's one ledger,
+    /// so results, counters, events and simulated times are all
+    /// bit-identical to running the same blocks through [`Gpu::launch_on`].
     ///
-    /// Small grids (or [`force_serial_blocks`] mode) run serially on the
-    /// calling thread; the parallel split only pays for itself when there
-    /// are enough blocks to amortise thread spawns.
+    /// The blocks run in flat order on the calling thread: a host thread
+    /// per block range would cost more CPU in spawns than it saves on
+    /// serving-sized launches, and nothing here measures wall-clock time
+    /// (`docs/perf.md` §3).
     pub fn launch_blocks_on<T, F>(
         &mut self,
         stream: usize,
@@ -276,7 +255,7 @@ impl Gpu {
     ) -> SimResult<KernelStats>
     where
         T: DeviceCopy,
-        F: Fn(&mut BlockCtx<'_, T>, &mut [T]) + Sync,
+        F: Fn(&mut BlockCtx<'_, T>, &mut [T]),
     {
         if self.evicted {
             return Err(SimError::DeviceLost { gpu: self.id });
@@ -292,67 +271,22 @@ impl Gpu {
             )));
         }
         let chunk = out.len() / blocks;
-        let grid = cfg.grid;
-        // Each host worker reuses one shared-memory buffer across its
-        // blocks, refilled to the zero-initialised state between blocks —
-        // same semantics as a fresh allocation per block, without the
-        // per-block allocation.
-        let run_block = |b: usize, chunk_out: &mut [T], shared: &mut [T]| -> CostCounters {
-            let mut counters = CostCounters::default();
+        let mut counters = CostCounters { launches: 1, ..Default::default() };
+        // One shared-memory buffer, refilled to the zero-initialised state
+        // between blocks — same semantics as a fresh allocation per block,
+        // without the per-block allocation.
+        let mut shared = vec![T::default(); cfg.shared_elems];
+        for b in 0..blocks {
             shared.fill(T::default());
             let mut ctx = BlockCtx::new(
-                (b % grid.0, b / grid.0),
-                grid,
+                (b % cfg.grid.0, b / cfg.grid.0),
+                cfg.grid,
                 cfg.block,
                 cfg.width,
-                shared,
+                &mut shared,
                 &mut counters,
             );
-            kernel(&mut ctx, chunk_out);
-            counters
-        };
-
-        let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let serial = chunk == 0
-            || blocks < PARALLEL_BLOCK_THRESHOLD
-            || workers < 2
-            || FORCE_SERIAL_BLOCKS.load(Ordering::Relaxed);
-
-        let mut counters = CostCounters { launches: 1, ..Default::default() };
-        if serial {
-            let mut shared = vec![T::default(); cfg.shared_elems];
-            for b in 0..blocks {
-                let lo = b * chunk;
-                counters += run_block(b, &mut out[lo..lo + chunk], &mut shared);
-            }
-        } else {
-            // Contiguous block ranges per worker; `split_at_mut` hands each
-            // worker exactly its blocks' chunks, so threads share nothing.
-            let per = blocks.div_ceil(workers.min(blocks));
-            let merged: Vec<CostCounters> = std::thread::scope(|s| {
-                let mut handles = Vec::new();
-                let mut rest = &mut *out;
-                let mut b0 = 0usize;
-                while b0 < blocks {
-                    let count = per.min(blocks - b0);
-                    let (mine, tail) = rest.split_at_mut(count * chunk);
-                    rest = tail;
-                    let run_block = &run_block;
-                    handles.push(s.spawn(move || {
-                        let mut acc = CostCounters::default();
-                        let mut shared = vec![T::default(); cfg.shared_elems];
-                        for (j, chunk_out) in mine.chunks_mut(chunk).enumerate() {
-                            acc += run_block(b0 + j, chunk_out, &mut shared);
-                        }
-                        acc
-                    }));
-                    b0 += count;
-                }
-                handles.into_iter().map(|h| h.join().expect("block worker panicked")).collect()
-            });
-            for part in merged {
-                counters += part;
-            }
+            kernel(&mut ctx, &mut out[b * chunk..(b + 1) * chunk]);
         }
 
         Ok(self.finish_launch(stream, cfg, occ, counters))
@@ -370,14 +304,14 @@ impl Gpu {
     ) -> SimResult<KernelStats>
     where
         T: DeviceCopy,
-        F: Fn(&mut BlockCtx<'_, T>, &mut [T]) + Sync,
+        F: Fn(&mut BlockCtx<'_, T>, &mut [T]),
     {
         self.launch_blocks_batch_on(DEFAULT_STREAM, cfg, batch, out, kernel)
     }
 
     /// Batched per-block simulation: run the concatenated blocks of `batch`
     /// identically-shaped members through one simulator pass instead of one
-    /// pass (validation, occupancy, thread-scope, event) per member.
+    /// pass (validation, occupancy, event) per member.
     ///
     /// `cfg` describes a *single member's* grid `(Bx, By)`; the members'
     /// blocks concatenate along the y-dimension into a combined grid
@@ -400,7 +334,7 @@ impl Gpu {
     ) -> SimResult<KernelStats>
     where
         T: DeviceCopy,
-        F: Fn(&mut BlockCtx<'_, T>, &mut [T]) + Sync,
+        F: Fn(&mut BlockCtx<'_, T>, &mut [T]),
     {
         if batch == 0 {
             return Err(SimError::InvalidLaunch(format!(
@@ -419,8 +353,8 @@ impl Gpu {
     }
 
     /// Price the merged counters of a finished launch, record the event on
-    /// `stream` and package the stats — the epilogue shared by the serial
-    /// and parallel launch engines.
+    /// `stream` and package the stats — the epilogue shared by
+    /// [`Gpu::launch_on`] and [`Gpu::launch_blocks_on`].
     fn finish_launch(
         &mut self,
         stream: usize,
@@ -648,15 +582,15 @@ mod tests {
         assert_eq!(g.elapsed(), before, "a failed launch must not consume time");
     }
 
-    /// The parallel block engine matches a serial `launch_on` run of the
-    /// same kernel bit for bit: outputs, counters, and simulated time.
+    /// The independent-block engine matches a `launch_on` run of the same
+    /// kernel bit for bit: outputs, counters, and simulated time.
     #[test]
     fn launch_blocks_matches_serial_launch() {
         let src: Vec<i32> = (0..4096).collect();
         let blocks = 32usize;
         let chunk = src.len() / blocks;
 
-        // Serial engine: blocks write disjoint windows of one output.
+        // `launch_on`: blocks write disjoint windows of one output.
         let mut serial_gpu = gpu();
         let input = serial_gpu.alloc_from(&src).unwrap();
         let mut serial_out = serial_gpu.alloc::<i32>(src.len()).unwrap();
@@ -673,12 +607,12 @@ mod tests {
             })
             .unwrap();
 
-        // Parallel engine: same kernel addressed block-locally.
-        let mut par_gpu = gpu();
-        let input = par_gpu.alloc_from(&src).unwrap();
-        let mut par_out = vec![0i32; src.len()];
-        let par_stats = par_gpu
-            .launch_blocks::<i32, _>(&cfg, &mut par_out, |ctx, out| {
+        // Block engine: same kernel addressed block-locally.
+        let mut blk_gpu = gpu();
+        let input = blk_gpu.alloc_from(&src).unwrap();
+        let mut blk_out = vec![0i32; src.len()];
+        let blk_stats = blk_gpu
+            .launch_blocks::<i32, _>(&cfg, &mut blk_out, |ctx, out| {
                 let base = ctx.block_idx.0 * chunk;
                 let mut tmp = vec![0i32; chunk];
                 ctx.read_global(input.host_view(), base, &mut tmp);
@@ -689,30 +623,10 @@ mod tests {
             })
             .unwrap();
 
-        assert_eq!(par_out, serial_out.host_view());
-        assert_eq!(par_stats.counters, serial_stats.counters);
-        assert_eq!(par_stats.counters.launches, 1);
-        assert_eq!(par_stats.seconds().to_bits(), serial_stats.seconds().to_bits());
-
-        // The forced-serial benchmark path is bit-identical too.
-        let mut forced_gpu = gpu();
-        let input = forced_gpu.alloc_from(&src).unwrap();
-        let mut forced_out = vec![0i32; src.len()];
-        force_serial_blocks(true);
-        let forced_stats = forced_gpu
-            .launch_blocks::<i32, _>(&cfg, &mut forced_out, |ctx, out| {
-                let base = ctx.block_idx.0 * chunk;
-                let mut tmp = vec![0i32; chunk];
-                ctx.read_global(input.host_view(), base, &mut tmp);
-                for v in &mut tmp {
-                    *v += 1;
-                }
-                ctx.write_global(out, 0, &tmp);
-            })
-            .unwrap();
-        force_serial_blocks(false);
-        assert_eq!(forced_out, par_out);
-        assert_eq!(forced_stats.counters, par_stats.counters);
+        assert_eq!(blk_out, serial_out.host_view());
+        assert_eq!(blk_stats.counters, serial_stats.counters);
+        assert_eq!(blk_stats.counters.launches, 1);
+        assert_eq!(blk_stats.seconds().to_bits(), serial_stats.seconds().to_bits());
     }
 
     /// One batched pass over four members' concatenated blocks produces the
@@ -725,7 +639,7 @@ mod tests {
         let chunk = 64usize;
         let src: Vec<i32> = (0..(members * rows * chunk) as i32).collect();
         let member_cfg = LaunchConfig::new("scan", (1, rows), (chunk, 1)).regs(16);
-        fn kernel(input: &[i32]) -> impl Fn(&mut BlockCtx<'_, i32>, &mut [i32]) + Sync + '_ {
+        fn kernel(input: &[i32]) -> impl Fn(&mut BlockCtx<'_, i32>, &mut [i32]) + '_ {
             let chunk = 64usize;
             move |ctx: &mut BlockCtx<'_, i32>, out: &mut [i32]| {
                 let base = (ctx.block_idx.1 * ctx.grid_dim.0 + ctx.block_idx.0) * chunk;

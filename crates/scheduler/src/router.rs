@@ -22,13 +22,13 @@
 //!   InfiniBand transfer in its timeline (see `crate::shard`'s steal-cost
 //!   model and `docs/sharding.md`).
 //!
-//! Everything is bit-deterministic: same workload + same
+//! [`Router::run`] steps every shard on the calling thread, in shard-index
+//! order. Everything is bit-deterministic: same workload + same
 //! [`RouterConfig`] ⇒ byte-identical [`ShardedReport`], and a 1-shard
 //! router is byte-equal to the unsharded [`crate::Server::run`] because
 //! both drive the same `ShardState` stepping code.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Condvar, Mutex};
 
 use devices::{DevicePreset, FabricPreset};
 use interconnect::{merge_fleet_parts, Resource, Trace};
@@ -136,18 +136,16 @@ pub struct RouterConfig {
     /// Each shard's interconnect fabric (same meaning as
     /// [`ServeConfig::fabric`]).
     pub fabric: FabricPreset,
-    /// Worker threads for parallel shard stepping; `0` = one per shard,
-    /// capped at the host's available parallelism. Always capped at the
-    /// shard count; an effective count of 1 steps serially on the caller's
-    /// thread — the reference engine the parallel stepping is
-    /// differentially pinned against. Thread count never changes any
-    /// output byte.
+    /// Ignored: the router steps every shard on the calling thread.
+    #[deprecated(note = "ignored: the router steps its shards on the calling thread")]
     pub threads: usize,
 }
 
 impl RouterConfig {
     /// Defaults: one TSUBAME-KFC node (8 GPUs) per shard, hash placement,
     /// unbounded queues, stealing on, no SLO, coalescing and plan cache on.
+    // The struct literal must name the deprecated field.
+    #[allow(deprecated)]
     pub fn new(shards: usize, policy: Policy, input_seed: u64) -> Self {
         RouterConfig {
             shards,
@@ -283,80 +281,30 @@ impl Router {
         &self.config
     }
 
-    /// The worker count one window actually steps with: the configured
-    /// [`RouterConfig::threads`] (`0` = the host's available parallelism),
-    /// capped at the shard count.
-    fn effective_threads(&self) -> usize {
-        let want = if self.config.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.config.threads
-        };
-        want.min(self.config.shards).max(1)
-    }
-
     /// Serve `requests` (sorted by arrival) to completion across all
     /// shards. Unsorted input is rejected as [`ScanError::InvalidInput`].
     ///
-    /// Shards advance in simulated-clock lockstep. Within a tick each
-    /// shard's dispatch touches only its own state and engine (pools,
-    /// timelines, caches and memos are all per-shard), so the dispatch fan
-    /// runs on a scoped worker pool; every cross-shard interaction —
-    /// routing, redirect spill, work stealing, SLO escalation, the clock
-    /// advance — resolves serially at the barrier between ticks, in
-    /// shard-index order. Outputs are therefore byte-identical to serial
-    /// stepping (`threads: 1`) by construction, whatever the thread count.
+    /// Shards advance in simulated-clock lockstep on the calling thread.
+    /// Each tick routes the new arrivals, dispatches every shard in
+    /// shard-index order, then resolves work stealing, the clock advance,
+    /// retirement and the SLO ledger, also in shard-index order.
     pub fn run(&self, requests: &[ServeRequest]) -> ScanResult<ShardedReport> {
         shard::check_sorted(requests)?;
-        let states: Vec<Mutex<ShardState>> = (0..self.config.shards)
-            .map(|s| {
-                Mutex::new(ShardState::new(
-                    s,
-                    self.engines[s].new_pool(),
-                    self.config.reference_timings,
-                ))
-            })
+        let mut states: Vec<ShardState> = (0..self.config.shards)
+            .map(|s| ShardState::new(s, self.engines[s].new_pool(), self.config.reference_timings))
             .collect();
-        let threads = self.effective_threads();
-        let (rejections, redirects_in, steals_out) = if threads <= 1 {
-            self.drive(requests, &states, None)?
-        } else {
-            let shared = DispatchShared {
-                states: &states,
-                engines: &self.engines,
-                requests,
-                job: Mutex::new(JobState::default()),
-                work_cv: Condvar::new(),
-                done_cv: Condvar::new(),
-            };
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| shared.worker_loop());
-                }
-                let out = self.drive(requests, &states, Some(&shared));
-                shared.shutdown();
-                out
-            })?
-        };
-        let states = states
-            .into_iter()
-            .map(|m| m.into_inner().expect("shard state poisoned"))
-            .collect::<Vec<_>>();
+        let (rejections, redirects_in, steals_out) = self.drive(requests, &mut states)?;
         Ok(self.finalize(states, rejections, redirects_in, steals_out))
     }
 
-    /// The lockstep serving loop, shared by serial and parallel stepping —
-    /// the only difference is how the per-tick dispatch fan executes
-    /// (inline in shard order, or claimed by the worker pool). Returns
+    /// The lockstep serving loop. Returns
     /// `(rejections, redirects_in, steals_out)`.
     fn drive(
         &self,
         requests: &[ServeRequest],
-        states: &[Mutex<ShardState>],
-        pool: Option<&DispatchShared<'_>>,
+        states: &mut [ShardState],
     ) -> ScanResult<(Vec<Rejection>, Vec<usize>, Vec<usize>)> {
         let shards = self.config.shards;
-        let lock = |s: usize| states[s].lock().expect("shard state poisoned");
         let mut rejections: Vec<Rejection> = Vec::new();
         let mut redirects_in = vec![0usize; shards];
         let mut steals_out = vec![0usize; shards];
@@ -373,10 +321,10 @@ impl Router {
                 let r = &requests[next];
                 let primary = self.place(r, states);
                 let target = match self.config.queue_capacity {
-                    Some(cap) if lock(primary).queue.len() >= cap => {
+                    Some(cap) if states[primary].queue.len() >= cap => {
                         let alt = (0..shards)
-                            .filter(|&s| lock(s).queue.len() < cap)
-                            .min_by_key(|&s| (lock(s).queue.len(), s));
+                            .filter(|&s| states[s].queue.len() < cap)
+                            .min_by_key(|&s| (states[s].queue.len(), s));
                         if let Some(alt) = alt {
                             redirects_in[alt] += 1;
                         }
@@ -385,7 +333,7 @@ impl Router {
                     _ => Some(primary),
                 };
                 match target {
-                    Some(s) => lock(s).enqueue(next),
+                    Some(s) => states[s].enqueue(next),
                     None => {
                         rejections.push(Rejection { request: r.clone(), time: now, shard: primary })
                     }
@@ -393,20 +341,13 @@ impl Router {
                 next += 1;
             }
 
-            // Dispatch every shard — inline in shard-id order, or fanned
-            // across the worker pool (order-free: shards are disjoint
-            // during dispatch, see `run`).
+            // Dispatch every shard, in shard-id order.
             let escalate = self.config.slo.is_some().then_some(&over);
-            match pool {
-                None => {
-                    for s in 0..shards {
-                        self.engines[s].dispatch(&mut lock(s), requests, now, escalate)?;
-                    }
-                }
-                Some(pool) => pool.dispatch_tick(now, escalate)?,
+            for (engine, state) in self.engines.iter().zip(states.iter_mut()) {
+                engine.dispatch(state, requests, now, escalate)?;
             }
 
-            // Work stealing (at the barrier, serial): an idle shard (empty
+            // Work stealing: an idle shard (empty
             // queue, free GPUs) pulls the least-urgent *eligible* entry
             // from the most-backlogged shard. A shard whose queue is still
             // non-empty after dispatch has an exhausted pool, so its
@@ -417,17 +358,18 @@ impl Router {
             if self.config.steal {
                 let eligible = |e: &QueueEntry| !over.contains(&requests[e.idx].tenant);
                 loop {
-                    let thief = (0..shards)
-                        .find(|&s| lock(s).queue.is_empty() && lock(s).pool.free_count() > 0);
+                    let thief = states
+                        .iter()
+                        .position(|st| st.queue.is_empty() && st.pool.free_count() > 0);
                     let Some(thief) = thief else { break };
                     let victim = (0..shards)
                         .filter(|&s| {
-                            let st = lock(s);
+                            let st = &states[s];
                             s != thief && st.queue.len() >= 2 && st.queue.iter().any(eligible)
                         })
-                        .max_by_key(|&s| (lock(s).queue.len(), std::cmp::Reverse(s)));
+                        .max_by_key(|&s| (states[s].queue.len(), std::cmp::Reverse(s)));
                     let Some(victim) = victim else { break };
-                    let tail = lock(victim)
+                    let tail = states[victim]
                         .queue
                         .iter()
                         .enumerate()
@@ -435,33 +377,30 @@ impl Router {
                         .max_by_key(|(_, e)| self.config.policy.key(&requests[e.idx]))
                         .map(|(pos, _)| pos)
                         .expect("victim has an eligible entry");
-                    let entry = lock(victim).queue.remove(tail);
+                    let entry = states[victim].queue.remove(tail);
                     steals_out[victim] += 1;
-                    {
-                        let mut thief_state = lock(thief);
-                        thief_state
-                            .queue
-                            .push(QueueEntry { idx: entry.idx, stolen_from: Some(victim) });
-                        thief_state.queue_sorted = false;
-                        // The thief has a free GPU, so the stolen entry
-                        // launches now (with its steal-in transfer admitted
-                        // ahead of it).
-                        self.engines[thief].dispatch(&mut thief_state, requests, now, escalate)?;
-                    }
+                    let thief_state = &mut states[thief];
+                    thief_state
+                        .queue
+                        .push(QueueEntry { idx: entry.idx, stolen_from: Some(victim) });
+                    thief_state.queue_sorted = false;
+                    // The thief has a free GPU, so the stolen entry launches
+                    // now (with its steal-in transfer admitted ahead of it).
+                    self.engines[thief].dispatch(thief_state, requests, now, escalate)?;
                 }
             }
 
-            for s in 0..shards {
-                lock(s).sample(now);
+            for state in states.iter_mut() {
+                state.sample(now);
             }
 
             // Advance the shared clock to the next event anywhere.
-            let next_completion = (0..shards).filter_map(|s| lock(s).next_finish()).min();
+            let next_completion = states.iter().filter_map(ShardState::next_finish).min();
             let next_arrival = (next < requests.len()).then(|| requests[next].arrival);
             now = match (next_completion, next_arrival) {
                 (None, None) => {
                     assert!(
-                        (0..shards).all(|s| lock(s).queue.is_empty()),
+                        states.iter().all(|st| st.queue.is_empty()),
                         "idle fleet with a non-empty queue"
                     );
                     break;
@@ -473,12 +412,11 @@ impl Router {
 
             // Retire finished launches on every shard, in shard-id order,
             // then settle the SLO ledger from the new completions.
-            for s in 0..shards {
-                lock(s).retire(now);
+            for state in states.iter_mut() {
+                state.retire(now);
             }
             if let Some(slo) = self.config.slo {
-                for s in 0..shards {
-                    let mut state = lock(s);
+                for state in states.iter_mut() {
                     for c in &state.completions[state.accounted..] {
                         if c.missed_deadline() {
                             *misses.entry(c.request.tenant).or_insert(0) += 1;
@@ -544,138 +482,18 @@ impl Router {
     }
 
     /// The arrival's primary shard under the configured [`Placement`].
-    fn place(&self, r: &ServeRequest, states: &[Mutex<ShardState>]) -> usize {
+    fn place(&self, r: &ServeRequest, states: &[ShardState]) -> usize {
         let shards = self.config.shards;
         match self.config.placement {
             Placement::Hash => {
                 (splitmix64(((r.id as u64) << 8) | r.tenant as u64) % shards as u64) as usize
             }
             Placement::LeastLoaded => (0..shards)
-                .min_by_key(|&s| {
-                    let st = states[s].lock().expect("shard state poisoned");
-                    (st.queue.len() + st.running.len(), s)
-                })
+                .min_by_key(|&s| (states[s].queue.len() + states[s].running.len(), s))
                 .expect("at least one shard"),
             Placement::LocalityByOp => {
                 let idx = OpKind::all().iter().position(|&k| k == r.op).expect("known kind");
                 idx % shards
-            }
-        }
-    }
-}
-
-/// One tick's dispatch fan, published to the worker pool: the mutable job
-/// cursor plus the per-tick inputs every worker needs.
-#[derive(Default)]
-struct JobState {
-    /// The tick's simulated clock.
-    now: f64,
-    /// The tick's over-budget tenant set (cloned per tick — tiny, and
-    /// only non-empty under SLO pressure).
-    escalate: Option<BTreeSet<u8>>,
-    /// Next shard index to claim.
-    next: usize,
-    /// Shards claimed or dispatched but not yet finished this tick.
-    remaining: usize,
-    /// Whether a tick is currently published.
-    tick_active: bool,
-    /// Tells workers to exit.
-    shutdown: bool,
-    /// First dispatch error of the tick, by lowest shard index — the same
-    /// error serial stepping (which stops at the first failing shard)
-    /// would surface.
-    error: Option<(usize, ScanError)>,
-}
-
-/// Everything the scoped dispatch workers share: the shard states and
-/// engines (disjoint per shard during a tick), the request slice, and the
-/// tick job under its condvars. Workers persist across ticks; the main
-/// thread publishes one tick at a time with [`DispatchShared::dispatch_tick`]
-/// and blocks until the fan drains.
-struct DispatchShared<'a> {
-    states: &'a [Mutex<ShardState>],
-    engines: &'a [Server],
-    requests: &'a [ServeRequest],
-    job: Mutex<JobState>,
-    work_cv: Condvar,
-    done_cv: Condvar,
-}
-
-/// Decrements the tick's remaining count when a worker finishes (or
-/// unwinds out of) a shard dispatch, waking the main thread — a panicking
-/// dispatch must not leave the barrier waiting forever.
-struct TickGuard<'a, 'b> {
-    shared: &'a DispatchShared<'b>,
-}
-
-impl Drop for TickGuard<'_, '_> {
-    fn drop(&mut self) {
-        let mut job = self.shared.job.lock().expect("dispatch job poisoned");
-        job.remaining -= 1;
-        if job.remaining == 0 {
-            job.tick_active = false;
-            self.shared.done_cv.notify_all();
-        }
-    }
-}
-
-impl DispatchShared<'_> {
-    /// Publish one tick: every shard dispatched once at `now`, claimed by
-    /// whichever worker gets there first. Blocks until all shards finish;
-    /// surfaces the lowest-shard dispatch error, if any.
-    fn dispatch_tick(&self, now: f64, escalate: Option<&BTreeSet<u8>>) -> ScanResult<()> {
-        let mut job = self.job.lock().expect("dispatch job poisoned");
-        job.now = now;
-        job.escalate = escalate.cloned();
-        job.next = 0;
-        job.remaining = self.states.len();
-        job.tick_active = true;
-        self.work_cv.notify_all();
-        while job.tick_active {
-            job = self.done_cv.wait(job).expect("dispatch job poisoned");
-        }
-        match job.error.take() {
-            Some((_, e)) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Wake every worker for exit.
-    fn shutdown(&self) {
-        self.job.lock().expect("dispatch job poisoned").shutdown = true;
-        self.work_cv.notify_all();
-    }
-
-    /// One worker: claim shards off the published tick and dispatch them
-    /// until shutdown. A claimed shard's dispatch touches only that
-    /// shard's state and engine, so claim order cannot affect any output.
-    fn worker_loop(&self) {
-        loop {
-            let (s, now, escalate) = {
-                let mut job = self.job.lock().expect("dispatch job poisoned");
-                loop {
-                    if job.shutdown {
-                        return;
-                    }
-                    if job.tick_active && job.next < self.states.len() {
-                        let s = job.next;
-                        job.next += 1;
-                        break (s, job.now, job.escalate.clone());
-                    }
-                    job = self.work_cv.wait(job).expect("dispatch job poisoned");
-                }
-            };
-            let _guard = TickGuard { shared: self };
-            let result = {
-                let mut state = self.states[s].lock().expect("shard state poisoned");
-                self.engines[s].dispatch(&mut state, self.requests, now, escalate.as_ref())
-            };
-            if let Err(e) = result {
-                let mut job = self.job.lock().expect("dispatch job poisoned");
-                match &job.error {
-                    Some((first, _)) if *first <= s => {}
-                    _ => job.error = Some((s, e)),
-                }
             }
         }
     }
@@ -761,12 +579,8 @@ mod tests {
     fn unsorted_requests_are_rejected_not_panicked() {
         let mut requests = small_workload(11, 8);
         requests.swap(2, 6);
-        let mut config = RouterConfig::new(2, Policy::Fifo, 11);
-        for threads in [4, 1] {
-            config.threads = threads;
-            let router = Router::new(config.clone()).unwrap();
-            assert!(matches!(router.run(&requests), Err(ScanError::InvalidInput(_))));
-        }
+        let router = Router::new(RouterConfig::new(2, Policy::Fifo, 11)).unwrap();
+        assert!(matches!(router.run(&requests), Err(ScanError::InvalidInput(_))));
     }
 
     #[test]

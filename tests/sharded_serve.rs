@@ -9,11 +9,7 @@
 //!   stolen requests always launch solo, and every coalesced launch is
 //!   kind-uniform;
 //! * SLO escalation reorders only *when* requests run, never *what* they
-//!   compute;
-//! * parallel shard stepping (the scoped worker pool) is **byte-equal** to
-//!   serial stepping (`RouterConfig::threads = 1`) across seeds × policies ×
-//!   placements × shard counts, including windows with steals, redirects
-//!   and SLO escalations.
+//!   compute.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -406,58 +402,6 @@ fn mixed_generation_pool_never_spans_models_in_one_launch() {
     }
 }
 
-/// The parallel-stepping differential matrix: stepping shards on the
-/// scoped worker pool (forced to 4 threads so the pool engages even on a
-/// single-core host) must be **byte-equal** to serial stepping
-/// (`threads: 1`) — completion order, checksums,
-/// queue-depth samples, rollup metrics JSON and the merged Chrome trace,
-/// all rendered through [`deep_snapshot`] — across seeds × policies ×
-/// placements × shard counts, under bounded queues and an SLO budget so
-/// redirects and escalations are in play. `threads` is the only knob
-/// flipped, so any byte of divergence is the worker pool's fault alone.
-#[test]
-fn parallel_stepping_is_byte_equal_to_serial() {
-    for seed in [7u64, 19] {
-        let requests = mixed_workload(seed, 40);
-        for policy in [Policy::Fifo, Policy::Edf] {
-            for placement in Placement::all() {
-                for shards in [2usize, 4] {
-                    let run = |threads: usize| {
-                        let mut config = RouterConfig::new(shards, policy, seed);
-                        config.placement = placement;
-                        config.queue_capacity = Some(12);
-                        config.slo = Some(SloConfig { miss_budget: 1 });
-                        config.threads = threads;
-                        deep_snapshot(&Router::new(config).unwrap().run(&requests).unwrap())
-                    };
-                    let ctx = format!("seed {seed}, {policy:?}, {placement}, {shards} shard(s)");
-                    assert_eq!(run(1), run(4), "{ctx}: parallel diverges from serial");
-                }
-            }
-        }
-    }
-}
-
-/// The steal-heavy window under parallel stepping: the imbalanced
-/// locality placement still provokes steals, the stolen requests still
-/// launch solo with their transfer admitted, and every byte matches the
-/// serial engine.
-#[test]
-fn parallel_stepping_is_byte_equal_under_steals() {
-    let requests = steal_workload();
-    let run = |threads: usize| {
-        let mut config = RouterConfig::new(2, Policy::Fifo, 99);
-        config.gpus_per_shard = 1;
-        config.placement = Placement::LocalityByOp;
-        config.threads = threads;
-        Router::new(config).unwrap().run(&requests).unwrap()
-    };
-    let parallel = run(4);
-    let steals: usize = parallel.shards.iter().map(|s| s.steals_in).sum();
-    assert!(steals > 0, "the imbalanced window must provoke at least one steal");
-    assert_eq!(deep_snapshot(&run(1)), deep_snapshot(&parallel));
-}
-
 /// The tentpole differential: incremental fleet admission (per-resource
 /// availability index with lazy pruning) must be **bit-equal** to the
 /// retained O(n²) reference list scheduler — same completion order, same
@@ -527,7 +471,6 @@ fn plan_cache_on_and_off_serve_identical_shard_mixed_windows() {
         config.slo = Some(SloConfig { miss_budget: 2 });
         config.keep_outputs = true;
         config.plan_cache = plan_cache;
-        config.threads = 1;
         Router::new(config).unwrap()
     };
     let (cached, cold) = (router(true), router(false));
